@@ -292,7 +292,15 @@ impl Coordinator {
     /// is byte-identical to what one worker's in-process sharded
     /// `/route` would produce for the same request.
     fn route_sharded(&self, job: &JobRequest) -> Response {
-        let (circuit_text, circuit) = match job.resolve_circuit() {
+        // The placement fingerprint is this request's canonical cache
+        // key — circuit source plus every result-affecting field — so it
+        // is stable across coordinator restarts and derived exactly as a
+        // worker derives its own keys.
+        let resolved = job.circuit_source().and_then(|source| {
+            let fingerprint = job.cache_key("route", &source, self.config.budget);
+            Ok((fingerprint, job.build_circuit()?))
+        });
+        let (fingerprint, circuit) = match resolved {
             Ok(resolved) => resolved,
             Err((kind @ "invalid-circuit", detail)) => {
                 return Response::json(422, error_json(kind, &detail).encode());
@@ -331,9 +339,6 @@ impl Coordinator {
         }
 
         let plan = ShardPlan::new(&circuit, stitch);
-        // Stable across restarts: the canonical cache key already
-        // fingerprints circuit bytes + every result-affecting field.
-        let fingerprint = job.cache_key("route", &circuit_text, self.config.budget);
         let deadline = dispatch_deadline(&opts.budget);
         let width = self.config.workers.len().min(plan.jobs.len()).max(1);
         let pool = Pool::new(width);
@@ -354,8 +359,7 @@ impl Coordinator {
             }
         }
         let outcome = merge_fragments(&circuit, opts.baseline, &plan, &fragments);
-        let circuit_name = job.bench.as_deref().unwrap_or("inline").to_string();
-        let body = route_response_json(&circuit_name, job.mode, &outcome, false);
+        let body = route_response_json(job.circuit_name(), job.mode, &outcome, false);
         Response::json(200, body.encode())
     }
 

@@ -9,7 +9,7 @@
 
 use crate::dispatch::Coordinator;
 use mebl_serve::api::error_json;
-use mebl_serve::http::{read_request, Response};
+use mebl_serve::http::{accept_until, bind_ticking, read_request, Response};
 use mebl_serve::json::Json;
 use std::io::BufReader;
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -17,8 +17,9 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-/// How often the accept loop re-checks the stop flag when idle.
-const ACCEPT_POLL: Duration = Duration::from_millis(5);
+/// How often an idle accept loop wakes to check the stop flag. A
+/// connection is accepted the moment it arrives.
+const ACCEPT_TICK: Duration = Duration::from_millis(5);
 /// Request-body ceiling, matching the worker daemon's default.
 const MAX_BODY: usize = 8 * 1024 * 1024;
 /// Socket read/write bound per connection.
@@ -48,8 +49,7 @@ pub struct CoordServer {
 impl CoordServer {
     /// Binds `addr` (e.g. `127.0.0.1:0`) in front of `coordinator`.
     pub fn bind(addr: &str, coordinator: Arc<Coordinator>) -> std::io::Result<CoordServer> {
-        let listener = TcpListener::bind(addr)?;
-        listener.set_nonblocking(true)?;
+        let listener = bind_ticking(addr, ACCEPT_TICK)?;
         let local_addr = listener.local_addr()?;
         Ok(CoordServer {
             listener,
@@ -78,21 +78,13 @@ impl CoordServer {
 
     /// Serves until [`CoordHandle::shutdown`] (or `POST /shutdown`).
     pub fn run(&self) {
-        loop {
-            if self.stop.load(Ordering::SeqCst) {
-                break;
-            }
-            match self.listener.accept() {
-                Ok((stream, _)) => {
-                    let _ = stream.set_nonblocking(false);
-                    self.handle_connection(stream);
-                }
-                Err(_) => std::thread::sleep(ACCEPT_POLL),
-            }
-        }
+        accept_until(&self.listener, ACCEPT_TICK, &self.stop, |stream| {
+            self.handle_connection(stream);
+        });
     }
 
     fn handle_connection(&self, mut stream: TcpStream) {
+        // Replaces the accept tick the socket inherited from the listener.
         let _ = stream.set_read_timeout(Some(IO_TIMEOUT));
         let _ = stream.set_write_timeout(Some(IO_TIMEOUT));
         let request = {

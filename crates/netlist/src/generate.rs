@@ -44,6 +44,18 @@ impl GenerateConfig {
     }
 }
 
+/// Fingerprint of the generator's output: FNV-1a over the
+/// [`circuit_to_string`](crate::circuit_to_string) text of every
+/// [`full_suite`](crate::full_suite) benchmark at
+/// [`GenerateConfig::quick`]`(2013)`, in suite order.
+///
+/// A consumer that names a generated circuit by its recipe (benchmark,
+/// seed, scale) instead of its text mixes this in, so a change to the
+/// generator re-keys whatever it keyed. `tests/determinism.rs`
+/// recomputes the hash: any change to the generator's output fails
+/// there until this constant is updated.
+pub const GENERATOR_FINGERPRINT: u64 = 0x2ef0_58e2_d2ac_3d9f;
+
 /// FNV-1a hash of the circuit name, for stable per-benchmark seeds.
 fn fnv1a(s: &str) -> u64 {
     let mut h = 0xcbf2_9ce4_8422_2325u64;

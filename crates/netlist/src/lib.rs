@@ -32,6 +32,6 @@ mod io;
 mod suite;
 
 pub use circuit::{Circuit, CircuitIssue, IssueSeverity, Net, NetId, Pin};
-pub use generate::{generate_with_events, GenerateConfig};
+pub use generate::{generate_with_events, GenerateConfig, GENERATOR_FINGERPRINT};
 pub use io::{circuit_from_str, circuit_to_string, ParseCircuitError};
 pub use suite::{faraday_suite, full_suite, mcnc_suite, BenchmarkSpec, Suite};

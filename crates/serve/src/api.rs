@@ -12,10 +12,11 @@
 use crate::cache::{fnv1a, fnv1a_extend};
 use crate::json::Json;
 use mebl_audit::{AuditReport, FindingKind};
-use mebl_netlist::{BenchmarkSpec, Circuit, GenerateConfig};
+use mebl_netlist::{BenchmarkSpec, Circuit, GenerateConfig, GENERATOR_FINGERPRINT};
 use mebl_route::{
     Degradation, DegradationKind, Pool, RouteReport, RouterConfig, RoutingOutcome, RunBudget,
 };
+use std::borrow::Cow;
 use std::time::Duration;
 
 /// Which routing preset a job runs.
@@ -167,26 +168,67 @@ impl JobRequest {
         }
     }
 
-    /// Materializes the circuit this request describes.
+    /// The circuit name response bodies carry: the benchmark name as
+    /// given, or `inline`.
+    pub fn circuit_name(&self) -> &str {
+        self.bench.as_deref().unwrap_or("inline")
+    }
+
+    /// The benchmark a `bench` request names.
+    fn spec(&self) -> Result<BenchmarkSpec, (&'static str, String)> {
+        let name = self.bench.as_deref().unwrap_or_default();
+        BenchmarkSpec::by_name(name)
+            .ok_or_else(|| ("unknown-bench", format!("unknown benchmark `{name}`")))
+    }
+
+    /// What the cache key hashes for the circuit, without building it:
+    /// the inline text itself, or for a benchmark request its recipe,
+    /// `bench=<name>;seed=<seed>;scale=<f64 bits>;generator=<fingerprint>`.
+    /// [`GENERATOR_FINGERPRINT`] stands in for the generated text, so a
+    /// generator change re-keys every benchmark request.
+    ///
+    /// `Err` is the same `unknown-bench` error [`JobRequest::build_circuit`]
+    /// gives, so an unknown name fails before any cache lookup.
+    pub fn circuit_source(&self) -> Result<Cow<'_, str>, (&'static str, String)> {
+        if let Some(text) = &self.circuit {
+            return Ok(Cow::Borrowed(text));
+        }
+        self.spec()?;
+        Ok(Cow::Owned(format!(
+            "bench={};seed={};scale={:016x};generator={GENERATOR_FINGERPRINT:016x}",
+            self.circuit_name(),
+            self.seed,
+            self.scale.to_bits(),
+        )))
+    }
+
+    /// Materializes the circuit this request describes: parses the
+    /// inline text, or generates the benchmark.
     ///
     /// `Err` carries `(kind, detail)` where kind is the typed error
     /// class (`unknown-bench` maps to 400, `invalid-circuit` to 422 —
     /// the caller decides the status).
-    pub fn resolve_circuit(&self) -> Result<(String, Circuit), (&'static str, String)> {
+    pub fn build_circuit(&self) -> Result<Circuit, (&'static str, String)> {
         if let Some(text) = &self.circuit {
-            let circuit = mebl_netlist::circuit_from_str(text)
-                .map_err(|e| ("invalid-circuit", e.to_string()))?;
-            return Ok((text.clone(), circuit));
+            return mebl_netlist::circuit_from_str(text)
+                .map_err(|e| ("invalid-circuit", e.to_string()));
         }
-        let name = self.bench.as_deref().unwrap_or_default();
-        let spec = BenchmarkSpec::by_name(name)
-            .ok_or_else(|| ("unknown-bench", format!("unknown benchmark `{name}`")))?;
-        let circuit = spec.generate(&GenerateConfig {
+        Ok(self.spec()?.generate(&GenerateConfig {
             seed: self.seed,
             net_scale: self.scale,
             ..GenerateConfig::default()
-        });
-        Ok((mebl_netlist::circuit_to_string(&circuit), circuit))
+        }))
+    }
+
+    /// [`JobRequest::build_circuit`] together with the circuit's text:
+    /// the inline text, or the generated circuit serialized.
+    pub fn resolve_circuit(&self) -> Result<(String, Circuit), (&'static str, String)> {
+        let circuit = self.build_circuit()?;
+        let text = match &self.circuit {
+            Some(text) => text.clone(),
+            None => mebl_netlist::circuit_to_string(&circuit),
+        };
+        Ok((text, circuit))
     }
 
     /// The run budget this request asks for, falling back to the
@@ -227,31 +269,30 @@ impl JobRequest {
         })
     }
 
-    /// The canonical cache key: FNV-1a over the circuit bytes chained
-    /// with a canonical rendering of every result-affecting field plus
-    /// the endpoint.
+    /// The canonical cache key: FNV-1a over the circuit source (see
+    /// [`JobRequest::circuit_source`]) chained with a canonical rendering
+    /// of the endpoint, the circuit name and every result-affecting field.
     ///
-    /// `threads` is deliberately excluded — the determinism contract
-    /// makes it output-invisible — and the *resolved* budget is used so
-    /// a request relying on the server default keys the same as one
-    /// spelling that default out.
-    pub fn cache_key(&self, endpoint: &str, circuit_text: &str, default_budget: RunBudget) -> u64 {
+    /// The circuit name enters because bodies carry it: without it an
+    /// inline text equal to some benchmark recipe would alias that
+    /// benchmark's entry. `threads` is deliberately excluded — the
+    /// determinism contract makes it output-invisible — and the
+    /// *resolved* budget is used so a request relying on the server
+    /// default keys the same as one spelling that default out.
+    pub fn cache_key(&self, endpoint: &str, source: &str, default_budget: RunBudget) -> u64 {
         let budget = self.budget(default_budget);
-        let mut canonical = format!(
-            "endpoint={endpoint};mode={};period={:?};time_ms={:?};stage_ms={:?};exp={:?};strict={}",
+        let canonical = format!(
+            "endpoint={endpoint};circuit={};mode={};period={:?};time_ms={:?};stage_ms={:?};exp={:?};strict={};sharded={}",
+            self.circuit_name(),
             self.mode.name(),
             self.period,
             budget.time.map(|d| d.as_millis()),
             budget.stage_time.map(|d| d.as_millis()),
             budget.max_expansions,
             self.strict,
+            self.shards.is_some(),
         );
-        // Appended only when set, so every pre-shard cache key (and
-        // persisted store record) stays valid.
-        if self.shards.is_some() {
-            canonical.push_str(";sharded=true");
-        }
-        fnv1a_extend(fnv1a(circuit_text.bytes()), canonical.bytes())
+        fnv1a_extend(fnv1a(source.bytes()), canonical.bytes())
     }
 }
 
@@ -517,6 +558,52 @@ mod tests {
     fn inline_circuit_must_parse() {
         let r = req(r#"{"circuit":"complete garbage"}"#).unwrap();
         assert_eq!(r.resolve_circuit().unwrap_err().0, "invalid-circuit");
+    }
+
+    #[test]
+    fn circuit_source_is_the_recipe_or_the_inline_text() {
+        let bench = req(r#"{"bench":"S5378","seed":1,"scale":0.5}"#).unwrap();
+        assert_eq!(
+            bench.circuit_source().unwrap(),
+            format!(
+                "bench=S5378;seed=1;scale={:016x};generator={GENERATOR_FINGERPRINT:016x}",
+                0.5f64.to_bits()
+            )
+        );
+        let inline = req(r#"{"circuit":"circuit c 0 0 9 9 3\n"}"#).unwrap();
+        assert_eq!(inline.circuit_source().unwrap(), "circuit c 0 0 9 9 3\n");
+        // An unknown name fails before any key exists.
+        let unknown = req(r#"{"bench":"NOPE"}"#).unwrap();
+        assert_eq!(unknown.circuit_source().unwrap_err().0, "unknown-bench");
+    }
+
+    #[test]
+    fn requests_with_different_bodies_never_share_a_key() {
+        let unlimited = RunBudget::unlimited();
+        let key = |r: &JobRequest| r.cache_key("route", &r.circuit_source().unwrap(), unlimited);
+        let bench = req(r#"{"bench":"S5378","seed":1,"scale":0.035}"#).unwrap();
+        // The generated text sent inline answers `"circuit":"inline"`.
+        let (text, _) = bench.resolve_circuit().unwrap();
+        let inline = JobRequest {
+            circuit: Some(text),
+            bench: None,
+            ..bench.clone()
+        };
+        assert_ne!(key(&bench), key(&inline));
+        // So does an inline text that spells the recipe.
+        let spoof = JobRequest {
+            circuit: Some(bench.circuit_source().unwrap().into_owned()),
+            bench: None,
+            ..bench.clone()
+        };
+        assert_ne!(key(&bench), key(&spoof));
+        // A name in another case generates the same circuit but echoes
+        // the name as given.
+        let lower = JobRequest {
+            bench: Some("s5378".to_string()),
+            ..bench.clone()
+        };
+        assert_ne!(key(&bench), key(&lower));
     }
 
     #[test]

@@ -7,8 +7,15 @@
 //! line, the header count and the body size are bounded, and a peer that
 //! stalls or disconnects mid-request surfaces as a typed error, never a
 //! hang (callers set stream timeouts) or a panic.
+//!
+//! The accept side lives here too: [`bind_ticking`] and [`accept_until`]
+//! are the one accept loop shared by `mebl serve` and `mebl coord`.
 
-use std::io::{BufRead, Write};
+use std::io::{BufRead, ErrorKind, Write};
+use std::net::{TcpListener, TcpStream};
+use std::os::fd::OwnedFd;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::time::Duration;
 
 /// Upper bound on one request line or header line, in bytes.
 const MAX_LINE: usize = 8 * 1024;
@@ -153,6 +160,41 @@ pub fn read_request(stream: &mut impl BufRead, max_body: usize) -> Result<Reques
         headers,
         body,
     })
+}
+
+/// Binds `addr` as a blocking listener whose `accept` gives up after
+/// `tick` when no connection arrives, for [`accept_until`].
+///
+/// std has no timeout setter on a listener, but Linux `accept(2)`
+/// honours `SO_RCVTIMEO`, which is what `set_read_timeout` sets; the
+/// fd round-trips through a `TcpStream` to reach it. Nothing dials.
+/// Accepted sockets inherit the timeout, so every connection handler
+/// must set its own read timeout before reading.
+pub fn bind_ticking(addr: &str, tick: Duration) -> std::io::Result<TcpListener> {
+    let socket = TcpStream::from(OwnedFd::from(TcpListener::bind(addr)?));
+    socket.set_read_timeout(Some(tick))?;
+    Ok(TcpListener::from(OwnedFd::from(socket)))
+}
+
+/// Hands each connection `listener` accepts to `on_accept`, in this
+/// thread, until `stop` is set. A connection is taken the moment it
+/// arrives; an idle listener wakes once per `tick` to check `stop`, so
+/// a drain is noticed within one tick.
+pub fn accept_until(
+    listener: &TcpListener,
+    tick: Duration,
+    stop: &AtomicBool,
+    mut on_accept: impl FnMut(TcpStream),
+) {
+    while !stop.load(Ordering::SeqCst) {
+        match listener.accept() {
+            Ok((stream, _)) => on_accept(stream),
+            Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {}
+            // Any other failure (EMFILE, say) may repeat at once; wait
+            // out a tick so the loop cannot spin on it.
+            Err(_) => std::thread::sleep(tick),
+        }
+    }
 }
 
 /// One response, buffered fully before writing.

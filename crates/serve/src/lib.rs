@@ -41,7 +41,7 @@ use crate::api::{
 };
 use crate::cache::{fnv1a_extend, ResultCache};
 use crate::delta::{canonical_edits, DeltaRequest, OutcomeCache, PriorOutcome};
-use crate::http::{read_request, ReadError, Request, Response};
+use crate::http::{accept_until, bind_ticking, read_request, ReadError, Request, Response};
 use crate::json::Json;
 use crate::metrics::Metrics;
 use mebl_control::CancelToken;
@@ -49,16 +49,15 @@ use mebl_route::{RouteError, Router, RunBudget, Stopwatch};
 use mebl_store::{Store, StoreConfig};
 pub use mebl_store::FsyncPolicy;
 use std::collections::VecDeque;
-use std::io::BufReader;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::io::{BufReader, ErrorKind};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
 
-/// How long the acceptor sleeps between polls of a quiet listener. The
-/// listener is non-blocking so the acceptor can notice a drain request
-/// without another connection arriving.
-const ACCEPT_POLL: Duration = Duration::from_millis(2);
+/// How often an idle acceptor wakes to check for a drain. A connection
+/// is accepted the moment it arrives (see [`http::bind_ticking`]).
+const ACCEPT_TICK: Duration = Duration::from_millis(2);
 
 /// Prior-outcome cache capacity for `/route/delta`. Full outcomes hold
 /// per-net geometry for a whole circuit, so this tier stays small; the
@@ -124,10 +123,13 @@ impl Default for ServeConfig {
 
 /// Fingerprint every stored record is tagged with: a hash of the
 /// stored-payload encoding version. Bump the string when the
-/// `status ‖ body` encoding (or response schema compatibility) changes,
-/// and old records become typed misses instead of wrong answers.
+/// `status ‖ body` encoding, the cache-key scheme or response schema
+/// compatibility changes, and old records become typed misses instead
+/// of wrong answers. v2: keys hash the circuit source and name
+/// ([`JobRequest::cache_key`]); v1 records may hold a body aliased
+/// across a benchmark request and its inline text.
 fn store_fingerprint() -> u64 {
-    mebl_store::fnv1a(b"mebl-serve stored-response v1")
+    mebl_store::fnv1a(b"mebl-serve stored-response v2")
 }
 
 /// Encodes a cacheable response for the store: status (u16 LE) ‖ body.
@@ -350,8 +352,7 @@ impl Server {
                 Some(store)
             }
         };
-        let listener = TcpListener::bind(&config.addr)?;
-        listener.set_nonblocking(true)?;
+        let listener = bind_ticking(&config.addr, ACCEPT_TICK)?;
         let local_addr = listener.local_addr()?;
         Ok(Server {
             listener,
@@ -416,46 +417,40 @@ impl Server {
     }
 
     fn accept_loop(&self) {
-        loop {
-            if self.shared.draining.load(Ordering::SeqCst) {
-                break;
+        accept_until(&self.listener, ACCEPT_TICK, &self.shared.draining, |s| {
+            self.enqueue(s)
+        });
+        self.shared.queue.close();
+    }
+
+    /// Offers an accepted connection to the workers: `429` when the
+    /// queue is full, `503` once it is closed for drain.
+    fn enqueue(&self, stream: TcpStream) {
+        let m = &self.shared.metrics;
+        match self.shared.queue.try_push(stream) {
+            Ok(()) => {}
+            Err((stream, RefuseReason::Full)) => {
+                m.queue_rejects.inc();
+                self.refuse(
+                    stream,
+                    Response::json(
+                        429,
+                        error_json("backpressure", "job queue is full").encode(),
+                    )
+                    .with_header("retry-after", "1"),
+                );
             }
-            match self.listener.accept() {
-                Ok((stream, _)) => {
-                    // Accepted sockets do not reliably inherit the
-                    // listener's non-blocking flag; make it explicit.
-                    let _ = stream.set_nonblocking(false);
-                    match self.shared.queue.try_push(stream) {
-                        Ok(()) => {}
-                        Err((stream, RefuseReason::Full)) => {
-                            self.shared.metrics.queue_rejects.inc();
-                            self.refuse(
-                                stream,
-                                Response::json(
-                                    429,
-                                    error_json("backpressure", "job queue is full").encode(),
-                                )
-                                .with_header("retry-after", "1"),
-                            );
-                        }
-                        Err((stream, RefuseReason::Closed)) => {
-                            self.shared.metrics.shutdown_rejects.inc();
-                            self.refuse(
-                                stream,
-                                Response::json(
-                                    503,
-                                    error_json("shutting-down", "server is draining").encode(),
-                                ),
-                            );
-                        }
-                    }
-                }
-                // Quiet listener or transient accept failure: back off
-                // briefly so the drain flag stays responsive.
-                Err(_) => std::thread::sleep(ACCEPT_POLL),
+            Err((stream, RefuseReason::Closed)) => {
+                m.shutdown_rejects.inc();
+                self.refuse(
+                    stream,
+                    Response::json(
+                        503,
+                        error_json("shutting-down", "server is draining").encode(),
+                    ),
+                );
             }
         }
-        self.shared.queue.close();
     }
 
     /// Answers a connection the queue refused, without parsing its
@@ -470,17 +465,18 @@ impl Server {
         // Closing a socket with unread bytes in its receive buffer can
         // reset the connection and destroy the response in flight, so
         // the peer would see a transport error instead of the typed
-        // `429`/`503`. Drain what has already arrived — bounded, so a
-        // slow-writing peer cannot stall the acceptor for long.
-        let _ = stream.set_nonblocking(true);
+        // `429`/`503`. End the response with a FIN, then drain until
+        // the peer hangs up — one round trip for a peer that reads to
+        // EOF, and bounded, so a slow-writing peer cannot stall the
+        // acceptor for long.
+        let _ = stream.shutdown(Shutdown::Write);
+        let _ = stream.set_read_timeout(Some(Duration::from_millis(1)));
         let mut sink = [0u8; 4096];
         for _ in 0..8 {
             match std::io::Read::read(&mut stream, &mut sink) {
                 Ok(0) => break, // peer closed its half; nothing left to reset
                 Ok(_) => {}
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                    std::thread::sleep(Duration::from_millis(1));
-                }
+                Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {}
                 Err(_) => break,
             }
         }
@@ -497,6 +493,7 @@ impl Server {
     fn handle_connection(&self, stream: TcpStream) {
         let m = &self.shared.metrics;
         let total = Stopwatch::start();
+        // Replaces the accept tick the socket inherited from the listener.
         let _ = stream.set_read_timeout(self.shared.io_timeout);
         let _ = stream.set_write_timeout(self.shared.io_timeout);
         let mut reader = BufReader::new(stream);
@@ -596,8 +593,9 @@ impl Server {
         )
     }
 
-    /// The `/route` and `/audit` job path: parse, cache-check, execute
-    /// under budget + interrupt, cache clean results.
+    /// The `/route` and `/audit` job path: parse, key, cache-check, and
+    /// only on a miss build the circuit, execute under budget +
+    /// interrupt, and cache a reproducible result.
     fn job(&self, request: &Request, endpoint: Endpoint) -> Response {
         let m = &self.shared.metrics;
         match endpoint {
@@ -627,64 +625,93 @@ impl Server {
             }
         };
 
-        let (circuit_text, circuit) = match job.resolve_circuit() {
-            Ok(resolved) => resolved,
-            Err((kind @ "invalid-circuit", detail)) => {
-                m.invalid_circuits.inc();
-                return Response::json(422, error_json(kind, &detail).encode());
-            }
-            Err((kind, detail)) => {
-                m.bad_requests.inc();
-                return Response::json(400, error_json(kind, &detail).encode());
-            }
+        let key = match job.circuit_source() {
+            Ok(source) => job.cache_key(endpoint.name(), &source, self.shared.default_budget),
+            Err(e) => return self.circuit_error(e),
         };
-
-        let key = job.cache_key(endpoint.name(), &circuit_text, self.shared.default_budget);
-        if let Some((status, body)) = self.shared.cache.get(key) {
-            m.cache_hits.inc();
-            return Response::json(status, body).with_header("x-cache", "hit");
+        if let Some(hit) = self.lookup(key) {
+            return hit;
         }
-        m.cache_misses.inc();
-
-        // Second tier: the persistent store. A disk hit is promoted
-        // into the LRU; any store failure degrades to memory-only and
-        // runs the job — the store can make a request faster, never
-        // fail it.
-        if let Some(store) = &self.shared.store {
-            match store.get(key, self.shared.store_fp) {
-                Ok(Some(bytes)) => {
-                    if let Some((status, body)) = decode_stored(&bytes) {
-                        m.store_hits.inc();
-                        self.shared.cache.put(key, status, body.clone());
-                        return Response::json(status, body).with_header("x-cache", "disk");
-                    }
-                    m.store_errors.inc();
-                }
-                Ok(None) => m.store_misses.inc(),
-                Err(_) => m.store_errors.inc(),
-            }
-        }
+        let circuit = match job.build_circuit() {
+            Ok(circuit) => circuit,
+            Err(e) => return self.circuit_error(e),
+        };
 
         let work = Stopwatch::start();
         let (response, cacheable) = self.execute(endpoint, &job, &circuit);
         m.work_hist.observe(work.elapsed());
 
         if cacheable {
-            self.shared
-                .cache
-                .put(key, response.status, response.body.clone());
-            if let Some(store) = &self.shared.store {
-                let stored = encode_stored(response.status, &response.body);
-                if store.put(key, self.shared.store_fp, &stored).is_err() {
-                    m.store_errors.inc();
-                }
-            }
+            self.admit(key, &response);
         }
         response.with_header("x-cache", "miss")
     }
 
+    /// The typed answer for a circuit that cannot be named or built:
+    /// `400` for an unknown benchmark, `422` for unparseable text.
+    fn circuit_error(&self, (kind, detail): (&'static str, String)) -> Response {
+        let m = &self.shared.metrics;
+        if kind == "invalid-circuit" {
+            m.invalid_circuits.inc();
+            Response::json(422, error_json(kind, &detail).encode())
+        } else {
+            m.bad_requests.inc();
+            Response::json(400, error_json(kind, &detail).encode())
+        }
+    }
+
+    /// Looks `key` up in both cache tiers: the memory LRU, then the
+    /// store. A disk hit is promoted into the LRU; any store failure
+    /// counts and falls through to a miss — the store can make a
+    /// request faster, never fail it.
+    fn lookup(&self, key: u64) -> Option<Response> {
+        let m = &self.shared.metrics;
+        if let Some((status, body)) = self.shared.cache.get(key) {
+            m.cache_hits.inc();
+            return Some(Response::json(status, body).with_header("x-cache", "hit"));
+        }
+        m.cache_misses.inc();
+        let store = self.shared.store.as_ref()?;
+        match store.get(key, self.shared.store_fp) {
+            Ok(Some(bytes)) => match decode_stored(&bytes) {
+                Some((status, body)) => {
+                    m.store_hits.inc();
+                    self.shared.cache.put(key, status, body.clone());
+                    return Some(Response::json(status, body).with_header("x-cache", "disk"));
+                }
+                None => m.store_errors.inc(),
+            },
+            Ok(None) => m.store_misses.inc(),
+            Err(_) => m.store_errors.inc(),
+        }
+        None
+    }
+
+    /// Caches a reproducible response in both tiers.
+    fn admit(&self, key: u64, response: &Response) {
+        self.shared
+            .cache
+            .put(key, response.status, response.body.clone());
+        if let Some(store) = &self.shared.store {
+            let stored = encode_stored(response.status, &response.body);
+            if store.put(key, self.shared.store_fp, &stored).is_err() {
+                self.shared.metrics.store_errors.inc();
+            }
+        }
+    }
+
+    /// Whether a finished run is a pure function of its request, so a
+    /// cached copy is indistinguishable from running it again: the
+    /// shutdown interrupt never fired, and the run is clean or had no
+    /// budget that could have cut it short. An unbudgeted degradation
+    /// (a search-exhausted net, say) recurs identically on every run
+    /// (DESIGN.md §9).
+    fn reproducible(&self, degraded: bool, budget: RunBudget) -> bool {
+        !self.shared.interrupt.is_cancelled_now() && (!degraded || budget.is_unlimited())
+    }
+
     /// Runs one job. Returns the response plus whether it may be cached
-    /// (only clean, undegraded, uninterrupted 200s are).
+    /// (only reproducible 200s are).
     fn execute(
         &self,
         endpoint: Endpoint,
@@ -693,7 +720,7 @@ impl Server {
     ) -> (Response, bool) {
         let m = &self.shared.metrics;
         let interrupt = &self.shared.interrupt;
-        let circuit_name = job.bench.as_deref().unwrap_or("inline").to_string();
+        let circuit_name = job.circuit_name();
         let router = Router::new(job.router_config(self.shared.default_budget));
         let shard_opts = job.shard_options(self.shared.default_budget);
         if shard_opts.is_some() {
@@ -717,22 +744,13 @@ impl Server {
                     .map_err(JobError::Route)?,
             };
             let body = match endpoint {
-                Endpoint::Route => {
-                    route_response_json(&circuit_name, job.mode, &outcome, false)
-                }
+                Endpoint::Route => route_response_json(circuit_name, job.mode, &outcome, false),
                 Endpoint::RouteOutcome => {
-                    outcome_response_json(&circuit_name, job.mode, circuit, &outcome)
+                    outcome_response_json(circuit_name, job.mode, circuit, &outcome)
                 }
                 Endpoint::Audit => {
                     let audit = mebl_audit::audit_outcome(circuit, router.config(), &outcome);
-                    audit_response_json(
-                        &circuit_name,
-                        job.mode,
-                        &outcome,
-                        &audit,
-                        job.strict,
-                        false,
-                    )
+                    audit_response_json(circuit_name, job.mode, &outcome, &audit, job.strict, false)
                 }
             };
             Ok((body, outcome.is_degraded()))
@@ -805,7 +823,7 @@ impl Server {
                 } else {
                     m.clean.inc();
                 }
-                let cacheable = !degraded && !interrupt.is_cancelled_now();
+                let cacheable = self.reproducible(degraded, job.budget(self.shared.default_budget));
                 (Response::json(200, body.encode()), cacheable)
             }
         }
@@ -840,60 +858,31 @@ impl Server {
             }
         };
 
-        let (circuit_text, circuit) = match req.job.resolve_circuit() {
-            Ok(resolved) => resolved,
-            Err((kind @ "invalid-circuit", detail)) => {
-                m.invalid_circuits.inc();
-                return Response::json(422, error_json(kind, &detail).encode());
-            }
-            Err((kind, detail)) => {
-                m.bad_requests.inc();
-                return Response::json(400, error_json(kind, &detail).encode());
-            }
+        let source = match req.job.circuit_source() {
+            Ok(source) => source,
+            Err(e) => return self.circuit_error(e),
         };
-
         let base_key = req
             .job
-            .cache_key("route", &circuit_text, self.shared.default_budget);
+            .cache_key("route", &source, self.shared.default_budget);
         let key = fnv1a_extend(
             base_key,
             format!("endpoint=route-delta;edits={}", canonical_edits(&req.edits)).bytes(),
         );
-        if let Some((status, body)) = self.shared.cache.get(key) {
-            m.cache_hits.inc();
-            return Response::json(status, body).with_header("x-cache", "hit");
+        if let Some(hit) = self.lookup(key) {
+            return hit;
         }
-        m.cache_misses.inc();
-
-        if let Some(store) = &self.shared.store {
-            match store.get(key, self.shared.store_fp) {
-                Ok(Some(bytes)) => {
-                    if let Some((status, body)) = decode_stored(&bytes) {
-                        m.store_hits.inc();
-                        self.shared.cache.put(key, status, body.clone());
-                        return Response::json(status, body).with_header("x-cache", "disk");
-                    }
-                    m.store_errors.inc();
-                }
-                Ok(None) => m.store_misses.inc(),
-                Err(_) => m.store_errors.inc(),
-            }
-        }
+        let circuit = match req.job.build_circuit() {
+            Ok(circuit) => circuit,
+            Err(e) => return self.circuit_error(e),
+        };
 
         let work = Stopwatch::start();
         let (response, cacheable) = self.execute_delta(&req, base_key, &circuit);
         m.work_hist.observe(work.elapsed());
 
         if cacheable {
-            self.shared
-                .cache
-                .put(key, response.status, response.body.clone());
-            if let Some(store) = &self.shared.store {
-                let stored = encode_stored(response.status, &response.body);
-                if store.put(key, self.shared.store_fp, &stored).is_err() {
-                    m.store_errors.inc();
-                }
-            }
+            self.admit(key, &response);
         }
         response.with_header("x-cache", "miss")
     }
@@ -910,7 +899,7 @@ impl Server {
     ) -> (Response, bool) {
         let m = &self.shared.metrics;
         let interrupt = &self.shared.interrupt;
-        let circuit_name = req.job.bench.as_deref().unwrap_or("inline").to_string();
+        let budget = req.job.budget(self.shared.default_budget);
         let router = Router::new(req.job.router_config(self.shared.default_budget));
 
         let result = mebl_par::supervise(|| {
@@ -919,10 +908,10 @@ impl Server {
                 None => {
                     let outcome = router.try_route_under(circuit, interrupt)?;
                     let prior: PriorOutcome = Arc::new((circuit.clone(), outcome));
-                    // Only clean priors are worth keeping: a degraded
-                    // prior reflects the budget that produced it, and
-                    // patching on top of it would bake that in.
-                    if !prior.1.is_degraded() {
+                    // Only reproducible priors are worth keeping: one cut
+                    // short by a budget or the interrupt reflects that
+                    // run, and patching on top of it would bake it in.
+                    if self.reproducible(prior.1.is_degraded(), budget) {
                         self.shared.outcomes.put(base_key, prior.clone());
                     }
                     prior
@@ -1003,9 +992,13 @@ impl Server {
                 } else {
                     m.clean.inc();
                 }
-                let body =
-                    route_response_json(&circuit_name, req.job.mode, &delta.outcome, false);
-                let cacheable = !degraded && !interrupt.is_cancelled_now();
+                let body = route_response_json(
+                    req.job.circuit_name(),
+                    req.job.mode,
+                    &delta.outcome,
+                    false,
+                );
+                let cacheable = self.reproducible(degraded, budget);
                 (Response::json(200, body.encode()), cacheable)
             }
         }

@@ -9,8 +9,9 @@
 //! broken traffic (truncated requests, raw garbage) for the fault
 //! harness.
 
-use std::io::{Read, Write};
+use std::io::{ErrorKind, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::os::fd::OwnedFd;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Duration;
 
@@ -162,6 +163,21 @@ impl TestClient {
         read_response(&mut stream)
     }
 
+    /// Writes `parts` on one connection, pausing `pause` between them,
+    /// and reads the full response — a slow peer whose request arrives
+    /// in pieces.
+    pub fn send_paced(&self, parts: &[&[u8]], pause: Duration) -> std::io::Result<HttpResponse> {
+        let mut stream = self.connect()?;
+        for (i, part) in parts.iter().enumerate() {
+            if i > 0 {
+                std::thread::sleep(pause);
+            }
+            stream.write_all(part)?;
+            stream.flush()?;
+        }
+        read_response(&mut stream)
+    }
+
     /// Writes a request *prefix* and hangs up mid-flight — the
     /// disconnect fault. Returns once the socket is shut down.
     pub fn send_partial_then_drop(&self, bytes: &[u8]) -> std::io::Result<()> {
@@ -193,8 +209,8 @@ pub enum FaultMode {
 ///
 /// The accept loop is cooperative, not threaded — run [`serve`] on a
 /// `mebl_par::run_scoped` role and latch [`stop`] from the driving
-/// role when the scenario is over (the loop polls a nonblocking
-/// listener, so it notices within milliseconds).
+/// role when the scenario is over (an idle accept wakes every 2 ms to
+/// check the flag, so it notices within milliseconds).
 ///
 /// [`serve`]: FaultWorker::serve
 /// [`stop`]: FaultWorker::stop
@@ -206,8 +222,8 @@ pub struct FaultWorker {
     stop: AtomicBool,
 }
 
-/// How often [`FaultWorker::serve`] re-checks its stop flag when idle.
-const FAULT_POLL: Duration = Duration::from_millis(2);
+/// How often an idle [`FaultWorker::serve`] wakes to check its stop flag.
+const FAULT_TICK: Duration = Duration::from_millis(2);
 
 impl FaultWorker {
     /// Binds a loopback port exhibiting `mode`.
@@ -217,8 +233,13 @@ impl FaultWorker {
         let listener = if mode == FaultMode::Refuse {
             None // release the port; dials now fail outright
         } else {
-            listener.set_nonblocking(true)?;
-            Some(listener)
+            // A blocking accept that gives up after one tick (Linux
+            // `accept(2)` honours SO_RCVTIMEO, set through a `TcpStream`
+            // view of the fd). A copy of `mebl_serve::http::bind_ticking`:
+            // this crate sits below mebl-serve.
+            let socket = TcpStream::from(OwnedFd::from(listener));
+            socket.set_read_timeout(Some(FAULT_TICK))?;
+            Some(TcpListener::from(OwnedFd::from(socket)))
         };
         Ok(FaultWorker {
             listener,
@@ -249,13 +270,14 @@ impl FaultWorker {
         while !self.stop.load(Ordering::SeqCst) {
             match listener.accept() {
                 Ok((stream, _)) => self.answer(stream),
-                Err(_) => std::thread::sleep(FAULT_POLL),
+                Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {}
+                Err(_) => std::thread::sleep(FAULT_TICK),
             }
         }
     }
 
     fn answer(&self, mut stream: TcpStream) {
-        let _ = stream.set_nonblocking(false);
+        // Replaces the accept tick the socket inherited from the listener.
         let _ = stream.set_read_timeout(Some(Duration::from_millis(250)));
         let _ = stream.set_write_timeout(Some(Duration::from_millis(250)));
         match self.mode {

@@ -104,6 +104,24 @@ pub const RULES: &[Rule] = &[
         compare_min: Some(true),
         ceiling_ns: None,
     },
+    // A memory cache hit and a coordinator dispatch cost one loopback
+    // round trip plus a lookup: the acceptors block in `accept` and
+    // wake when a connection arrives, and a hit neither builds nor
+    // parses its circuit. Both sit near 0.1 ms; the ceiling is the
+    // 0.5 ms memory-hit target, so a sleep-poll acceptor (about 2 ms)
+    // or per-hit circuit work fails whatever baseline is committed.
+    Rule {
+        pattern: "serve/cache_hit",
+        tolerance_pct: None,
+        compare_min: None,
+        ceiling_ns: Some(500_000),
+    },
+    Rule {
+        pattern: "shard/coord_dispatch",
+        tolerance_pct: None,
+        compare_min: None,
+        ceiling_ns: Some(500_000),
+    },
 ];
 
 /// One benchmark's parsed measurements.
@@ -358,6 +376,20 @@ mod tests {
         // And it binds even when the id is absent from the baseline.
         let failures = compare(&[], &current, 25, RULES);
         assert_eq!(failures.len(), 1);
+    }
+
+    #[test]
+    fn wire_speed_ceilings_fail_a_sleep_poll_acceptor() {
+        // The 2.1 ms medians of a 2 ms sleep-poll acceptor pass every
+        // band against an equally slow baseline; the ceilings do not.
+        for id in ["serve/cache_hit", "shard/coord_dispatch"] {
+            let slow = vec![entry(id, 2_120_000, 980_000)];
+            let failures = compare(&slow, &slow, 150, RULES);
+            assert_eq!(failures.len(), 1, "{id}: {failures:?}");
+            assert!(failures[0].contains("ceiling"), "{failures:?}");
+            let fast = vec![entry(id, 110_000, 90_000)];
+            assert!(compare(&fast, &fast, 150, RULES).is_empty(), "{id}");
+        }
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //! same inputs must give byte-identical outputs across runs.
 
 use mebl_assign::random_instances;
-use mebl_netlist::{BenchmarkSpec, GenerateConfig};
+use mebl_netlist::{circuit_to_string, BenchmarkSpec, GenerateConfig, GENERATOR_FINGERPRINT};
 use mebl_route::{Router, RouterConfig};
 
 /// FNV-1a over a byte stream, for golden-value fingerprints.
@@ -84,6 +84,18 @@ fn generator_streams_are_pinned() {
     assert_eq!(
         pin_hash, 0x3ff7_5f70_10eb_9b39,
         "netlist generator stream drifted (pin hash {pin_hash:#x})"
+    );
+
+    // The whole suite's text pins the generator as the service's cache
+    // keys see it: benchmark requests are keyed by recipe, with this
+    // fingerprint standing in for the circuit they generate.
+    let suite_hash = fnv1a(mebl_netlist::full_suite().iter().flat_map(|spec| {
+        circuit_to_string(&spec.generate(&GenerateConfig::quick(2013))).into_bytes()
+    }));
+    assert_eq!(
+        suite_hash, GENERATOR_FINGERPRINT,
+        "generator output drifted (suite hash {suite_hash:#x}); updating \
+         GENERATOR_FINGERPRINT re-keys every benchmark request"
     );
 
     let instances = random_instances(3, 8, 30, 2013);

@@ -14,9 +14,18 @@
 //!   response body;
 //! * a full queue answers `429` instead of queueing unboundedly, and a
 //!   drain interrupts in-flight jobs without dropping any accepted
-//!   connection on the floor.
+//!   connection on the floor;
+//! * every reproducible result is cached — degraded ones too, when no
+//!   budget could have cut them short — and requests whose bodies differ
+//!   never share a cache entry;
+//! * the acceptor blocks in `accept` yet notices a drain within a tick,
+//!   and accepted sockets do not keep the listener's tick as their read
+//!   timeout.
 
+use mebl_netlist::{circuit_to_string, BenchmarkSpec, GenerateConfig};
 use mebl_par::run_scoped;
+use mebl_route::Stopwatch;
+use mebl_serve::json::Json;
 use mebl_serve::{DrainReport, ServeConfig, Server, ServerHandle};
 use mebl_testkit::{flip_bit, shuffle_lines, truncate_text, Fault, FaultPlan, TestClient};
 use std::sync::Mutex;
@@ -458,4 +467,160 @@ fn shutdown_endpoint_drains_and_run_returns() {
         assert!(handle.is_draining());
     });
     assert_eq!(report.requests, 1);
+}
+
+/// A benchmark request and the same generated text sent inline answer
+/// with different bodies (`"circuit"` names the benchmark or says
+/// `inline`), so neither may be served the other's cache entry.
+#[test]
+fn inline_text_of_a_benchmark_does_not_alias_its_cache_entry() {
+    let bench = format!("{{\"bench\":\"S5378\",\"seed\":1,\"scale\":{SMALL_SCALE}}}");
+    let circuit = BenchmarkSpec::by_name("S5378")
+        .expect("known benchmark")
+        .generate(&GenerateConfig {
+            seed: 1,
+            net_scale: SMALL_SCALE,
+            ..GenerateConfig::default()
+        });
+    let inline = Json::obj(vec![("circuit", Json::Str(circuit_to_string(&circuit)))]).encode();
+
+    let cold_inline: Mutex<Vec<u8>> = Mutex::new(Vec::new());
+    with_server(ServeConfig::default(), |client, _| {
+        let cold = client
+            .post_json("/route", &inline)
+            .expect("cold inline route");
+        assert_eq!(cold.status, 200, "{}", cold.body_text());
+        *cold_inline.lock().expect("cold inline") = cold.body;
+    });
+    with_server(ServeConfig::default(), |client, _| {
+        let by_name = client.post_json("/route", &bench).expect("bench route");
+        assert_eq!(by_name.status, 200, "{}", by_name.body_text());
+        assert!(by_name.body_text().contains("\"circuit\":\"S5378\""));
+
+        let r = client.post_json("/route", &inline).expect("inline route");
+        assert_eq!(r.status, 200, "{}", r.body_text());
+        assert_eq!(r.header("x-cache"), Some("miss"), "{}", r.body_text());
+        assert!(
+            r.body_text().contains("\"circuit\":\"inline\""),
+            "{}",
+            r.body_text()
+        );
+        assert_eq!(r.body, *cold_inline.lock().expect("cold inline"));
+    });
+}
+
+/// Routes 39 of its 40 nets, leaving one `search-exhausted` record, at
+/// every thread count.
+fn search_exhausted_payload(threads: usize, extra: &str) -> String {
+    format!("{{\"bench\":\"Primary1\",\"seed\":3,\"scale\":0.0442,\"threads\":{threads}{extra}}}")
+}
+
+/// An unbudgeted degraded result is a pure function of its request
+/// (DESIGN.md §9), so it is cached like a clean one; a budgeted one is
+/// not, because the budget may cut a rerun short elsewhere.
+#[test]
+fn unbudgeted_degraded_results_are_cached() {
+    // Reference: the same job at 4 threads, computed with caching off.
+    let wide: Mutex<Vec<u8>> = Mutex::new(Vec::new());
+    let uncached = ServeConfig {
+        cache_capacity: 0,
+        ..ServeConfig::default()
+    };
+    with_server(uncached, |client, _| {
+        let r = client
+            .post_json("/route", &search_exhausted_payload(4, ""))
+            .expect("4-thread route");
+        assert_eq!(r.header("x-cache"), Some("miss"));
+        *wide.lock().expect("wide") = r.body;
+    });
+
+    let report = with_server(ServeConfig::default(), |client, _| {
+        let cold = client
+            .post_json("/route", &search_exhausted_payload(1, ""))
+            .expect("cold route");
+        assert_eq!(cold.status, 200, "{}", cold.body_text());
+        assert_eq!(cold.header("x-cache"), Some("miss"));
+        let text = cold.body_text();
+        assert!(text.contains("\"status\":\"degraded\""), "{text}");
+        assert!(text.contains("\"routed_nets\":39"), "{text}");
+        assert_eq!(text.matches("search-exhausted").count(), 1, "{text}");
+        assert_eq!(
+            cold.body,
+            *wide.lock().expect("wide"),
+            "thread-count invariant"
+        );
+
+        for threads in [1, 4] {
+            let warm = client
+                .post_json("/route", &search_exhausted_payload(threads, ""))
+                .expect("warm route");
+            assert_eq!(warm.header("x-cache"), Some("hit"), "threads {threads}");
+            assert_eq!(warm.body, cold.body, "threads {threads}");
+        }
+
+        let budgeted = search_exhausted_payload(1, ",\"max_expansions\":2000");
+        for _ in 0..2 {
+            let r = client
+                .post_json("/route", &budgeted)
+                .expect("budgeted route");
+            assert_eq!(r.status, 200, "{}", r.body_text());
+            assert!(
+                r.body_text().contains("budget-exhausted"),
+                "{}",
+                r.body_text()
+            );
+            assert_eq!(r.header("x-cache"), Some("miss"));
+        }
+    });
+    assert_eq!(report.cache_hits, 2, "report: {report:?}");
+    assert_eq!(report.degraded, 3, "report: {report:?}");
+}
+
+/// The acceptor blocks in `accept`, waking once per tick to check for a
+/// drain. On a kernel whose `accept` ignored the listener's receive
+/// timeout this test would hang instead of passing.
+#[test]
+fn idle_server_drains_within_a_tick() {
+    let server = Server::bind(&ServeConfig::default()).expect("bind loopback");
+    let handle = server.handle();
+    let since_shutdown: Mutex<Option<Stopwatch>> = Mutex::new(None);
+    run_scoped(2, |role| {
+        if role == 0 {
+            server.run();
+        } else {
+            std::thread::sleep(Duration::from_millis(50));
+            *since_shutdown.lock().expect("stopwatch") = Some(Stopwatch::start());
+            handle.shutdown();
+        }
+    });
+    let elapsed = since_shutdown
+        .into_inner()
+        .expect("stopwatch")
+        .expect("shutdown was called")
+        .elapsed();
+    assert!(
+        elapsed < Duration::from_millis(250),
+        "idle server took {elapsed:?} to drain"
+    );
+}
+
+/// Accepted sockets inherit the listener's tick as their read timeout;
+/// the worker must replace it, or a body arriving later than one tick
+/// after its head reads as a disconnect.
+#[test]
+fn a_body_arriving_after_a_pause_is_still_answered() {
+    with_server(ServeConfig::default(), |client, _| {
+        let body = small_payload(7, 1);
+        let head = format!(
+            "POST /route HTTP/1.1\r\ncontent-length: {}\r\nconnection: close\r\n\r\n",
+            body.len()
+        );
+        let r = client
+            .send_paced(
+                &[head.as_bytes(), body.as_bytes()],
+                Duration::from_millis(50),
+            )
+            .expect("paced request answered");
+        assert_eq!(r.status, 200, "{}", r.body_text());
+    });
 }

@@ -17,7 +17,7 @@ use mebl_audit::audit_outcome;
 use mebl_coord::{CoordConfig, Coordinator, CoordServer};
 use mebl_netlist::{BenchmarkSpec, Circuit, GenerateConfig};
 use mebl_par::run_scoped;
-use mebl_route::{RouterConfig, RoutingOutcome, RunBudget};
+use mebl_route::{RouterConfig, RoutingOutcome, RunBudget, Stopwatch};
 use mebl_serve::json::{self, Json};
 use mebl_serve::{ServeConfig, Server, ServerHandle};
 use mebl_shard::{route_sharded, ShardError, ShardOptions};
@@ -419,4 +419,58 @@ fn hostile_ring_is_a_typed_503() {
             assert_eq!(cluster.coordinator.live_workers(), 0);
         });
     }
+}
+
+/// The coordinator and the fault worker block in `accept`, waking once
+/// per tick to check their stop flags. On a kernel whose `accept`
+/// ignored the listener's receive timeout this test would hang instead
+/// of passing.
+#[test]
+fn idle_coordinator_and_fault_worker_stop_within_a_tick() {
+    let coordinator = Arc::new(Coordinator::new(CoordConfig::default()));
+    let coord_server = CoordServer::bind("127.0.0.1:0", coordinator).expect("bind coordinator");
+    let worker = FaultWorker::bind(FaultMode::Always429).expect("bind fault worker");
+    let coord = coord_server.handle();
+    let since_stop: Mutex<Option<Stopwatch>> = Mutex::new(None);
+    run_scoped(3, |role| match role {
+        0 => coord_server.run(),
+        1 => worker.serve(),
+        _ => {
+            std::thread::sleep(Duration::from_millis(50));
+            *since_stop.lock().expect("stopwatch") = Some(Stopwatch::start());
+            coord.shutdown();
+            worker.stop();
+        }
+    });
+    let elapsed = since_stop
+        .into_inner()
+        .expect("stopwatch")
+        .expect("stop was called")
+        .elapsed();
+    assert!(
+        elapsed < Duration::from_millis(250),
+        "idle accept loops took {elapsed:?} to stop"
+    );
+}
+
+/// Accepted sockets inherit the listener's tick as their read timeout;
+/// the coordinator must replace it, or a request whose head arrives in
+/// pieces reads as garbage.
+#[test]
+fn coordinator_reads_a_request_arriving_after_a_pause() {
+    with_cluster(
+        0,
+        &[],
+        |_| {},
+        |cluster| {
+            let r = cluster
+                .coord
+                .send_paced(
+                    &[b"GET /healthz HTTP/1.1\r\n", b"connection: close\r\n\r\n"],
+                    Duration::from_millis(50),
+                )
+                .expect("paced request answered");
+            assert_eq!(r.status, 200, "{}", r.body_text());
+        },
+    );
 }

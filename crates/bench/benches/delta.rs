@@ -8,10 +8,10 @@
 //! - `delta/scratch_reference` — a full `Router::route` of the edited
 //!   circuit, the cost the delta path replaces.
 //! - `delta/single_net` — patching the prior outcome after a one-net
-//!   move, the canonical ECO. The whole point of the subsystem: this
-//!   must be at least 5× faster than `scratch_reference` (asserted
-//!   below, so the gap is recorded in `results/bench_delta.json`
-//!   rather than taken on faith).
+//!   move, the canonical ECO. The whole point of the subsystem: its
+//!   fastest sample must be at least [`SPEEDUP_BAR`]× under the fastest
+//!   `scratch_reference` sample (asserted below, so the gap is recorded
+//!   in `results/bench_delta.json` rather than taken on faith).
 //! - `delta/tenth_of_nets` — moving ~10% of the nets, the point where
 //!   closure growth starts eating the advantage.
 //! - `delta/blockage_insert` — dropping a fresh keep-out, which rips
@@ -28,6 +28,10 @@ use mebl_testkit::bench::BenchSuite;
 
 const SCRATCH_SAMPLES: usize = 12;
 const DELTA_SAMPLES: usize = 25;
+/// How many times cheaper than the from-scratch route a single-net
+/// delta must be, compared on the fastest sample of each. A delta
+/// call's fixed cost scales with the edit, not with the design.
+const SPEEDUP_BAR: u64 = 12;
 
 fn circuit() -> Circuit {
     BenchmarkSpec::by_name("S13207")
@@ -173,10 +177,11 @@ fn main() {
     );
 
     // The acceptance bar for the subsystem: a one-net ECO must be at
-    // least 5× cheaper than re-routing from scratch.
+    // least SPEEDUP_BAR times cheaper than re-routing from scratch.
     assert!(
-        single_min.saturating_mul(5) <= scratch_min,
-        "single-net delta ({single_min} ns) is not 5x faster than scratch ({scratch_min} ns)"
+        single_min.saturating_mul(SPEEDUP_BAR) <= scratch_min,
+        "single-net delta ({single_min} ns) is not {SPEEDUP_BAR}x faster than scratch \
+         ({scratch_min} ns)"
     );
 
     suite

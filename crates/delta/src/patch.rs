@@ -146,7 +146,7 @@ fn delta_impl(
         &edit_plan.circuit,
         &plan,
         &global_config,
-        &global_preserved,
+        global_preserved,
     );
     timings.global = t.elapsed();
 
@@ -162,7 +162,7 @@ fn delta_impl(
         &edit_plan.circuit,
         &plan,
         &detailed_config,
-        &detailed_preserved,
+        detailed_preserved,
     );
     timings.detailed = t.elapsed();
 

@@ -122,6 +122,28 @@ fn occupy_blockages(grid: &mut DetailedGrid, circuit: &Circuit) {
     }
 }
 
+/// Occupies every pin cell with its net and returns each net's pin
+/// nodes, in pin order. A pin cell shared by two nets ends up owned by
+/// the later one.
+fn occupy_pins(grid: &mut DetailedGrid, circuit: &Circuit) -> Vec<Vec<u32>> {
+    let mut pin_cells: Vec<Vec<u32>> = vec![Vec::new(); circuit.net_count()];
+    for (id, net) in circuit.iter_nets() {
+        for pin in net.pins() {
+            let node = grid.node(pin.position.on_layer(pin.layer));
+            grid.occupy(node, id.0);
+            pin_cells[id.0 as usize].push(node);
+        }
+    }
+    pin_cells
+}
+
+/// Positions of a net's pin cells: the only points where the net may
+/// drop a via on a stitching line. Built per routed net, never for the
+/// whole circuit at once.
+fn pin_points(grid: &DetailedGrid, pin_cells: &[u32]) -> FastSet<Point> {
+    pin_cells.iter().map(|&c| grid.point(c).point()).collect()
+}
+
 /// Outcome of detailed routing.
 #[derive(Debug, Clone)]
 pub struct DetailedResult {
@@ -167,16 +189,7 @@ pub fn route_detailed(
 
     // Fixed pins block their cells for everyone else, and allow the
     // pin-owning net to drop vias on stitching lines.
-    let mut pin_cells: Vec<Vec<u32>> = vec![Vec::new(); n];
-    let mut pin_points: Vec<FastSet<Point>> = vec![FastSet::default(); n];
-    for (id, net) in circuit.iter_nets() {
-        for pin in net.pins() {
-            let node = grid.node(pin.position.on_layer(pin.layer));
-            grid.occupy(node, id.0);
-            pin_cells[id.0 as usize].push(node);
-            pin_points[id.0 as usize].insert(pin.position);
-        }
-    }
+    let pin_cells = occupy_pins(&mut grid, circuit);
 
     // Place seeds; runs interrupted by foreign pins split into sub-runs.
     let mut seed_components: Vec<Vec<Vec<u32>>> = vec![Vec::new(); n];
@@ -225,7 +238,7 @@ pub fn route_detailed(
 
     route_pass(
         plan, &field, config, &order, &mut grid, &mut solver, &pin_cells,
-        &pin_points, &seed_components, &mut result,
+        &seed_components, &mut result,
     );
 
     // Final failed-net rip-up/reroute rounds: all failed nets' resources
@@ -261,7 +274,7 @@ pub fn route_detailed(
         let no_seeds: Vec<Vec<Vec<u32>>> = vec![Vec::new(); n];
         route_pass(
             plan, &field, &relaxed, &failed, &mut grid, &mut solver, &pin_cells,
-            &pin_points, &no_seeds, &mut result,
+            &no_seeds, &mut result,
         );
     }
 
@@ -275,8 +288,8 @@ pub fn route_detailed(
     // afterwards fall through to the degradation records below.
     if result.routed_count < n && !config.cancel.is_cancelled_now() {
         blocker_ripup_round(
-            circuit, plan, &field, config, &mut grid, &mut solver, &pin_cells, &pin_points,
-            &FastSet::default(), &order, &mut result,
+            circuit, plan, &field, config, &mut grid, &mut solver, &pin_cells,
+            &order, &mut result,
         );
     }
 
@@ -314,8 +327,10 @@ pub fn route_detailed(
 /// Target nets route seedless (pin-to-pin, like rip-up rounds) through
 /// the same deterministic batched passes, relaxed rounds and blocker
 /// rip-up as [`route_detailed`] — except rip-up victims are restricted
-/// to target nets and preserved geometry is frozen, so a delta run never
-/// disturbs what it promised to keep.
+/// to target nets. Every cell a preserved net owns stays hard even for
+/// the blocker round's soft search, so a delta run never disturbs what
+/// it promised to keep. Each preserved geometry moves into the result
+/// unchanged.
 ///
 /// # Panics
 ///
@@ -324,7 +339,7 @@ pub fn route_incremental(
     circuit: &Circuit,
     plan: &StitchPlan,
     config: &DetailedConfig,
-    preserved: &[Option<(bool, RouteGeometry)>],
+    preserved: Vec<Option<(bool, RouteGeometry)>>,
 ) -> DetailedResult {
     let n = circuit.net_count();
     assert!(
@@ -350,55 +365,36 @@ pub fn route_incremental(
         routed_count: 0,
     };
 
+    let mut targets: Vec<usize> = (0..n).filter(|&i| preserved[i].is_none()).collect();
+    let target_count = targets.len();
+    targets.sort_by_key(|&i| (circuit.nets()[i].hpwl(), i));
+
     // Re-occupy preserved geometry first, then pins: a pin cell always
     // ends up owned by the pin's net, matching [`route_detailed`].
-    let mut frozen: FastSet<u32> = FastSet::default();
-    for (i, kept) in preserved.iter().enumerate() {
+    for (i, kept) in preserved.into_iter().enumerate() {
         let Some((routed, geometry)) = kept else {
             continue;
         };
         for seg in geometry.segments() {
             for gp in seg.points() {
-                let node = grid.node(gp);
-                grid.occupy(node, i as u32);
-                frozen.insert(node);
+                grid.occupy(grid.node(gp), i as u32);
             }
         }
         for via in geometry.vias() {
-            for gp in [
-                GridPoint::new(via.x, via.y, via.lower),
-                GridPoint::new(via.x, via.y, via.upper()),
-            ] {
-                let node = grid.node(gp);
-                grid.occupy(node, i as u32);
-                frozen.insert(node);
+            for layer in [via.lower, via.upper()] {
+                grid.occupy(grid.node(GridPoint::new(via.x, via.y, layer)), i as u32);
             }
         }
-        result.geometry[i] = geometry.clone();
-        result.routed[i] = *routed;
-        if *routed {
-            result.routed_count += 1;
-        }
+        result.geometry[i] = geometry;
+        result.routed[i] = routed;
+        result.routed_count += usize::from(routed);
     }
-    let mut pin_cells: Vec<Vec<u32>> = vec![Vec::new(); n];
-    let mut pin_points: Vec<FastSet<Point>> = vec![FastSet::default(); n];
-    for (id, net) in circuit.iter_nets() {
-        for pin in net.pins() {
-            let node = grid.node(pin.position.on_layer(pin.layer));
-            grid.occupy(node, id.0);
-            pin_cells[id.0 as usize].push(node);
-            pin_points[id.0 as usize].insert(pin.position);
-        }
-    }
-
-    let mut targets: Vec<usize> = (0..n).filter(|&i| preserved[i].is_none()).collect();
-    let target_count = targets.len();
-    targets.sort_by_key(|&i| (circuit.nets()[i].hpwl(), i));
+    let pin_cells = occupy_pins(&mut grid, circuit);
 
     let no_seeds: Vec<Vec<Vec<u32>>> = vec![Vec::new(); n];
     route_pass(
         plan, &field, config, &targets, &mut grid, &mut solver, &pin_cells,
-        &pin_points, &no_seeds, &mut result,
+        &no_seeds, &mut result,
     );
 
     let routed_targets =
@@ -432,14 +428,14 @@ pub fn route_incremental(
         };
         route_pass(
             plan, &field, &relaxed, &failed, &mut grid, &mut solver, &pin_cells,
-            &pin_points, &no_seeds, &mut result,
+            &no_seeds, &mut result,
         );
     }
 
     if routed_targets(&result) < target_count && !config.cancel.is_cancelled_now() {
         blocker_ripup_round(
-            circuit, plan, &field, config, &mut grid, &mut solver, &pin_cells, &pin_points,
-            &frozen, &targets, &mut result,
+            circuit, plan, &field, config, &mut grid, &mut solver, &pin_cells,
+            &targets, &mut result,
         );
     }
 
@@ -556,7 +552,6 @@ fn route_pass(
     grid: &mut DetailedGrid,
     solver: &mut DialSolver,
     pin_cells: &[Vec<u32>],
-    pin_points: &[FastSet<Point>],
     seed_components: &[Vec<Vec<u32>>],
     result: &mut DetailedResult,
 ) {
@@ -583,7 +578,7 @@ fn route_pass(
                 let mut log = ChangeLog::default();
                 let (routed, geometry) = route_one_net(
                     plan, field, config, net, local, scratch, &mut log, pin_cells,
-                    pin_points, seed_components,
+                    seed_components,
                 );
                 let delta = log.delta(local);
                 log.rollback(local);
@@ -617,7 +612,7 @@ fn route_pass(
                 let mut log = ChangeLog::default();
                 let (routed, geometry) = route_one_net(
                     plan, field, config, net, grid, solver, &mut log, pin_cells,
-                    pin_points, seed_components,
+                    seed_components,
                 );
                 if routed {
                     result.geometry[net] = geometry;
@@ -649,7 +644,6 @@ fn route_one_net(
     solver: &mut DialSolver,
     log: &mut ChangeLog,
     pin_cells: &[Vec<u32>],
-    pin_points: &[FastSet<Point>],
     seed_components: &[Vec<Vec<u32>>],
 ) -> (bool, RouteGeometry) {
     let mut components: Vec<FastSet<u32>> = Vec::new();
@@ -660,6 +654,7 @@ fn route_one_net(
         components.push(comp.iter().copied().collect());
     }
     merge_touching(grid, &mut components);
+    let own_pins = pin_points(grid, &pin_cells[net]);
 
     let mut ok = connect_components(
         grid,
@@ -669,7 +664,7 @@ fn route_one_net(
         field,
         config,
         net as u32,
-        &pin_points[net],
+        &own_pins,
         &mut components,
     );
     if !ok && !seed_components[net].is_empty() {
@@ -695,7 +690,7 @@ fn route_one_net(
             field,
             config,
             net as u32,
-            &pin_points[net],
+            &own_pins,
             &mut components,
         );
     }
@@ -1022,9 +1017,12 @@ const BLOCK_PENALTY: u64 = 1 << 32;
 /// [`route_detailed`]). Serial on the master grid in deterministic net
 /// order, so the outcome never depends on the worker count.
 ///
-/// Only nets in `candidates` are recovered or ripped as blockers; cells
-/// in `frozen` (preserved geometry in an incremental run) and blockage
-/// cells are hard obstacles even for the soft search.
+/// Only nets in `candidates` are recovered or ripped as blockers. Pin
+/// cells and every cell owned by a net outside `candidates` are hard
+/// obstacles even for the soft search: that covers blockage cells
+/// ([`BLOCKAGE_NET`] is never a candidate) and, in an incremental run,
+/// preserved geometry, since a preserved net owns nothing but its
+/// geometry and pins and no candidate can occupy either.
 #[allow(clippy::too_many_arguments)]
 fn blocker_ripup_round(
     circuit: &Circuit,
@@ -1034,23 +1032,15 @@ fn blocker_ripup_round(
     grid: &mut DetailedGrid,
     solver: &mut DialSolver,
     pin_cells: &[Vec<u32>],
-    pin_points: &[FastSet<Point>],
-    frozen: &FastSet<u32>,
     candidates: &[usize],
     result: &mut DetailedResult,
 ) {
     let n = pin_cells.len();
-    // Other nets' pins can never be ripped up, and neither can blockage
-    // cells or preserved geometry; the soft search treats them all as
-    // hard obstacles.
-    let mut all_pins: FastSet<u32> = pin_cells.iter().flatten().copied().collect();
-    all_pins.extend(frozen.iter().copied());
-    for node in 0..grid.cell_count() as u32 {
-        if grid.occupant(node) == Some(BLOCKAGE_NET) {
-            all_pins.insert(node);
-        }
+    let all_pins: FastSet<u32> = pin_cells.iter().flatten().copied().collect();
+    let mut rippable = vec![false; n];
+    for &i in candidates {
+        rippable[i] = true;
     }
-    let rippable: FastSet<usize> = candidates.iter().copied().collect();
     let no_seeds: Vec<Vec<Vec<u32>>> = vec![Vec::new(); n];
     // The soft search and the recovery attempts get the expansion budget
     // one widening step past the retry ladder's last rung — still
@@ -1082,6 +1072,7 @@ fn blocker_ripup_round(
         }
         // A few rip-up iterations per net: each either removes at least
         // one blocking net, routes the net, or proves it hopeless.
+        let own_pins = pin_points(grid, &pin_cells[net]);
         let mut ripped: Vec<usize> = Vec::new();
         for _ in 0..4 {
             // Current components: the net's pins (failed nets own
@@ -1105,17 +1096,16 @@ fn blocker_ripup_round(
             src_nodes.sort_unstable();
             let targets: FastSet<u32> = components.iter().flatten().copied().collect();
             let Some(path) = soft_astar(
-                grid, plan, config, net as u32, &pin_points[net], &src_nodes, &targets,
-                &all_pins, cap,
+                grid, plan, config, net as u32, &own_pins, &src_nodes, &targets,
+                &all_pins, &rippable, cap,
             ) else {
                 break;
             };
             let mut blockers: Vec<usize> = path
                 .iter()
                 .filter_map(|&c| grid.occupant(c))
-                .filter(|&o| o != net as u32 && o != BLOCKAGE_NET)
                 .map(|o| o as usize)
-                .filter(|o| rippable.contains(o))
+                .filter(|&o| o != net && rippable.get(o) == Some(&true))
                 .collect();
             blockers.sort_unstable();
             blockers.dedup();
@@ -1125,7 +1115,7 @@ fn blocker_ripup_round(
             }
             let mut log = ChangeLog::default();
             let (ok, geometry) = route_one_net(
-                plan, field, &relaxed, net, grid, solver, &mut log, pin_cells, pin_points,
+                plan, field, &relaxed, net, grid, solver, &mut log, pin_cells,
                 &no_seeds,
             );
             if ok {
@@ -1149,7 +1139,7 @@ fn blocker_ripup_round(
             }
             let mut log = ChangeLog::default();
             let (ok, geometry) = route_one_net(
-                plan, field, config, b, grid, solver, &mut log, pin_cells, pin_points,
+                plan, field, config, b, grid, solver, &mut log, pin_cells,
                 &no_seeds,
             );
             if ok {
@@ -1179,11 +1169,11 @@ fn rip_net(grid: &mut DetailedGrid, net: usize, pins: &[u32], result: &mut Detai
 }
 
 /// Last-ditch variant of [`legacy_astar`] for walled-in nets: cells
-/// owned by other nets are traversable at [`BLOCK_PENALTY`] apiece
-/// (their pins stay hard), over the whole grid rather than a window, so
-/// the cheapest result names a minimal corridor of blockers to rip up.
-/// Shares the hard stitch rules and expansion accounting with the hard
-/// searches.
+/// owned by `rippable` nets are traversable at [`BLOCK_PENALTY`] apiece
+/// (their pins stay hard, as does every cell of any other net), over
+/// the whole grid rather than a window, so the cheapest result names a
+/// minimal corridor of blockers to rip up. Shares the hard stitch rules
+/// and expansion accounting with the hard searches.
 #[allow(clippy::too_many_arguments)]
 fn soft_astar(
     grid: &DetailedGrid,
@@ -1194,6 +1184,7 @@ fn soft_astar(
     sources: &[u32],
     targets: &FastSet<u32>,
     all_pins: &FastSet<u32>,
+    rippable: &[bool],
     node_cap: usize,
 ) -> Option<Vec<u32>> {
     const UNIT: u64 = 10;
@@ -1217,6 +1208,9 @@ fn soft_astar(
         ((dx + dy) as u64).saturating_mul(UNIT).saturating_mul(config.alpha)
     };
 
+    // An occupied cell is hard unless a rippable net owns it.
+    let hard = |owner: u32| rippable.get(owner as usize) != Some(&true);
+
     let mut expanded = 0usize;
     let mut aborted = false;
     let found = mebl_graph::astar(
@@ -1235,7 +1229,7 @@ fn soft_astar(
             for q in grid.moves(pu) {
                 let v = grid.node(q);
                 let blocked = !grid.passable(v, net);
-                if blocked && all_pins.contains(&v) {
+                if blocked && (all_pins.contains(&v) || grid.occupant(v).is_some_and(hard)) {
                     continue;
                 }
                 let z_move = q.layer != pu.layer;
@@ -1661,7 +1655,7 @@ mod tests {
         let all: Vec<Option<(bool, RouteGeometry)>> = (0..3)
             .map(|i| Some((full.routed[i], full.geometry[i].clone())))
             .collect();
-        let same = route_incremental(&c, &plan, &DetailedConfig::default(), &all);
+        let same = route_incremental(&c, &plan, &DetailedConfig::default(), all.clone());
         assert_eq!(same.routed, full.routed);
         for i in 0..3 {
             assert_eq!(same.geometry[i], full.geometry[i], "net {i}");
@@ -1670,7 +1664,7 @@ mod tests {
         // One target: nets 0 and 2 stay untouched, net 1 re-routes.
         let mut partial = all;
         partial[1] = None;
-        let inc = route_incremental(&c, &plan, &DetailedConfig::default(), &partial);
+        let inc = route_incremental(&c, &plan, &DetailedConfig::default(), partial);
         assert_eq!(inc.routed_count, 3);
         assert_eq!(inc.geometry[0], full.geometry[0]);
         assert_eq!(inc.geometry[2], full.geometry[2]);
@@ -1687,6 +1681,69 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn blocker_round_rips_targets_but_never_preserved_geometry() {
+        let outline = Rect::new(0, 0, 29, 29);
+        let plan = StitchPlan::new(outline, StitchConfig::default());
+        let at = |x: Coord, y: Coord, l: u8| Pin::new(Point::new(x, y), Layer::new(l));
+        // Two preserved nets wall off row y = 15 on both layers: a
+        // layer-0 wire with a via at every column off the stitching line
+        // (a y-move on the line is illegal anyway). The one gap is x = 10.
+        let wall = |x0: Coord, x1: Coord| {
+            let mut g = RouteGeometry::new();
+            g.push_segment(Segment::horizontal(Layer::new(0), 15, x0, x1));
+            for x in (x0..=x1).filter(|&x| !plan.is_on_line(x)) {
+                g.push_via(Via::new(x, 15, Layer::new(0)));
+            }
+            g
+        };
+        let walls = [wall(0, 9), wall(11, 29)];
+        let c = Circuit::new(
+            "sealed",
+            outline,
+            2,
+            vec![
+                Net::new("wall_w", vec![at(0, 15, 0), at(9, 15, 0)]),
+                Net::new("wall_e", vec![at(11, 15, 0), at(29, 15, 0)]),
+                // Smaller HPWL, so it routes first and takes the gap.
+                Net::new("gap", vec![at(10, 13, 1), at(10, 17, 1)]),
+                // Must cross the row too, and the gap is its only corridor.
+                Net::new("cross", vec![at(3, 5, 0), at(25, 25, 0)]),
+            ],
+        );
+        let preserved = vec![
+            Some((true, walls[0].clone())),
+            Some((true, walls[1].clone())),
+            None,
+            None,
+        ];
+        let config = DetailedConfig {
+            cancel: CancelToken::armed(None, None),
+            ..DetailedConfig::default()
+        };
+        let out = route_incremental(&c, &plan, &config, preserved);
+
+        // The walls come back byte-identical and routed.
+        assert_eq!(out.geometry[..2], walls);
+        assert_eq!(out.routed[..2], [true, true]);
+        // The blocker round found the corridor through the gap net, not
+        // through the cheaper one-cell crossings of the walls: it ripped
+        // `gap`, routed `cross` through the gap, and `gap` has no way
+        // back, so it is recorded as exhausted.
+        assert!(out.routed[3]);
+        assert_connected(&c, 3, &out.geometry[3]);
+        assert!(!out.routed[2]);
+        assert_eq!(out.routed_count, 3);
+        let exhausted: Vec<Option<usize>> = config
+            .cancel
+            .take_degradations()
+            .into_iter()
+            .filter(|d| d.kind == DegradationKind::SearchExhausted)
+            .map(|d| d.net)
+            .collect();
+        assert_eq!(exhausted, vec![Some(2)]);
     }
 
     #[test]

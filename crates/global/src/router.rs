@@ -288,15 +288,15 @@ pub fn route_circuit(
 
 /// Incrementally routes only the nets whose `preserved` entry is `None`.
 ///
-/// Every preserved route's demand is re-applied first — the exact
-/// inverse of ripping up the target nets from the prior state — then the
-/// targets route in multilevel order against that demand. Negotiation
-/// passes run over *all* nets: at the tile level any net crossing an
-/// overflowed resource may be ripped and rerouted (the capacity model is
-/// a pure function of the routes, and detailed routing never reads
-/// them), which lets a delta run converge to zero overflow exactly like
-/// a from-scratch run instead of inheriting overflow the preserved
-/// routes pin in place.
+/// Every preserved route moves into the result and its demand is
+/// re-applied first — the exact inverse of ripping up the target nets
+/// from the prior state — then the targets route in multilevel order
+/// against that demand. Negotiation passes run over *all* nets: at the
+/// tile level any net crossing an overflowed resource may be ripped and
+/// rerouted (the capacity model is a pure function of the routes, and
+/// detailed routing never reads them), which lets a delta run converge
+/// to zero overflow exactly like a from-scratch run instead of
+/// inheriting overflow the preserved routes pin in place.
 ///
 /// # Panics
 ///
@@ -305,7 +305,7 @@ pub fn route_incremental(
     circuit: &Circuit,
     plan: &StitchPlan,
     config: &GlobalConfig,
-    preserved: &[Option<GlobalRoute>],
+    preserved: Vec<Option<GlobalRoute>>,
 ) -> GlobalResult {
     incremental_impl(circuit, plan, config, preserved)
 }
@@ -356,7 +356,7 @@ fn incremental_impl(
     circuit: &Circuit,
     plan: &StitchPlan,
     config: &GlobalConfig,
-    preserved: &[Option<GlobalRoute>],
+    preserved: Vec<Option<GlobalRoute>>,
 ) -> GlobalResult {
     assert!(
         preserved.len() == circuit.net_count(),
@@ -373,19 +373,18 @@ fn incremental_impl(
     let ladder = crate::CoarseningLadder::build(circuit, &graph);
     let order: Vec<usize> = ladder.order().to_vec();
 
-    let mut routes: Vec<GlobalRoute> = vec![GlobalRoute::default(); circuit.net_count()];
-    for (i, kept) in preserved.iter().enumerate() {
-        if let Some(route) = kept {
-            state.apply_route(&graph, route, 1, &config.cancel);
-            routes[i] = route.clone();
-        }
-    }
-
     let targets: Vec<usize> = order
         .iter()
         .copied()
         .filter(|&i| preserved[i].is_none())
         .collect();
+    let mut routes: Vec<GlobalRoute> = Vec::with_capacity(preserved.len());
+    for kept in preserved {
+        if let Some(route) = &kept {
+            state.apply_route(&graph, route, 1, &config.cancel);
+        }
+        routes.push(kept.unwrap_or_default());
+    }
     let skipped = route_batched(circuit, &graph, &mut state, config, &targets, &mut routes);
     if skipped > 0 {
         config.cancel.record(Degradation::new(
@@ -1033,13 +1032,13 @@ mod tests {
         ]);
         let full = route_circuit(&c, &plan, &GlobalConfig::default());
         let all: Vec<Option<GlobalRoute>> = full.routes.iter().cloned().map(Some).collect();
-        let inc = route_incremental(&c, &plan, &GlobalConfig::default(), &all);
+        let inc = route_incremental(&c, &plan, &GlobalConfig::default(), all.clone());
         assert_eq!(inc.routes, full.routes);
         assert_eq!(inc.metrics, full.metrics);
 
         let mut partial = all;
         partial[0] = None;
-        let inc = route_incremental(&c, &plan, &GlobalConfig::default(), &partial);
+        let inc = route_incremental(&c, &plan, &GlobalConfig::default(), partial);
         assert_eq!(inc.routes[1], full.routes[1]);
         assert!(!inc.routes[0].tiles.is_empty());
         assert_route_connected(&inc.routes[0]);

@@ -237,12 +237,13 @@ impl Circuit {
     /// netlist layer has no notion of a stitch plan of its own).
     ///
     /// Errors (outline degenerate or absurdly large, pin outside the
-    /// outline, pin layer above the stack) make the circuit unroutable
-    /// as given; warnings (pin on a stitching line, duplicate pin
-    /// cells across nets) are tolerated by the flow but worth
-    /// surfacing. The constructor already rejects some error cases for
-    /// circuits built through [`Circuit::new`]; `validate` re-checks
-    /// them so circuits from any future source get the same scrutiny.
+    /// outline, pin layer above the stack, pin under a blockage, a net
+    /// whose pins all sit on one cell) make the circuit unroutable as
+    /// given; warnings (pin on a stitching line, duplicate pin cells
+    /// across nets) are tolerated by the flow but worth surfacing. The
+    /// constructor already rejects some error cases for circuits built
+    /// through [`Circuit::new`]; `validate` re-checks them so circuits
+    /// from any future source get the same scrutiny.
     pub fn validate(&self, stitch_lines: &[i32]) -> Vec<CircuitIssue> {
         let mut issues = Vec::new();
         let o = self.outline;
@@ -277,8 +278,8 @@ impl Circuit {
             }
         }
 
-        let mut seen: std::collections::BTreeMap<(i32, i32, u8), usize> =
-            std::collections::BTreeMap::new();
+        let shared_with = self.shared_pin_cells();
+        let mut k = 0;
         for (idx, net) in self.nets.iter().enumerate() {
             for pin in net.pins() {
                 let p = pin.position;
@@ -318,25 +319,61 @@ impl Circuit {
                         ),
                     ));
                 }
-                let key = (p.x, p.y, pin.layer.index());
-                if let Some(&other) = seen.get(&key) {
-                    if other != idx {
-                        issues.push(CircuitIssue::warning(
-                            Some(idx),
-                            format!(
-                                "pin ({}, {}) layer {} is shared with net {other}",
-                                p.x,
-                                p.y,
-                                pin.layer.index()
-                            ),
-                        ));
-                    }
-                } else {
-                    seen.insert(key, idx);
+                if let Some(other) = shared_with[k] {
+                    issues.push(CircuitIssue::warning(
+                        Some(idx),
+                        format!(
+                            "pin ({}, {}) layer {} is shared with net {other}",
+                            p.x,
+                            p.y,
+                            pin.layer.index()
+                        ),
+                    ));
+                }
+                k += 1;
+            }
+            if let Some((first, rest)) = net.pins().split_first() {
+                if rest.iter().all(|pin| pin == first) {
+                    issues.push(CircuitIssue::error(
+                        Some(idx),
+                        format!(
+                            "all {} pins sit on cell ({}, {}) layer {}: a net needs at \
+                             least two distinct pin cells",
+                            net.degree(),
+                            first.position.x,
+                            first.position.y,
+                            first.layer.index()
+                        ),
+                    ));
                 }
             }
         }
         issues
+    }
+
+    /// For every pin in net-then-pin order, the net it shares its cell
+    /// (x, y, layer) with: the net of the cell's first pin, named on
+    /// each later pin of a different net. One sort of
+    /// `(cell, pin order, net)` groups each cell's pins in pin order.
+    fn shared_pin_cells(&self) -> Vec<Option<usize>> {
+        let mut cells: Vec<((i32, i32, u8), usize, usize)> = Vec::with_capacity(self.pin_count());
+        for (idx, net) in self.nets.iter().enumerate() {
+            for pin in net.pins() {
+                let p = pin.position;
+                cells.push(((p.x, p.y, pin.layer.index()), cells.len(), idx));
+            }
+        }
+        cells.sort_unstable();
+        let mut shared_with = vec![None; cells.len()];
+        for run in cells.chunk_by(|a, b| a.0 == b.0) {
+            let owner = run[0].2;
+            for &(_, k, net) in &run[1..] {
+                if net != owner {
+                    shared_with[k] = Some(owner);
+                }
+            }
+        }
+        shared_with
     }
 }
 
@@ -481,5 +518,91 @@ mod tests {
         assert_eq!(c.net(NetId(1)).degree(), 3);
         let ids: Vec<NetId> = c.iter_nets().map(|(id, _)| id).collect();
         assert_eq!(ids, vec![NetId(0), NetId(1)]);
+    }
+
+    #[test]
+    fn coincident_pins_are_a_validate_error() {
+        let p = Pin::new(Point::new(4, 4), Layer::new(1));
+        let c = Circuit::new(
+            "c",
+            Rect::new(0, 0, 9, 9),
+            3,
+            vec![
+                Net::new("ok", vec![pin(0, 0), pin(9, 9)]),
+                Net::new("dot", vec![p, p, p]),
+                Net::new("stack", vec![pin(5, 5), Pin::new(Point::new(5, 5), Layer::new(2))]),
+                Net::new("dup", vec![pin(7, 1), pin(7, 1), pin(8, 1)]),
+            ],
+        );
+        let errors: Vec<String> = c
+            .validate(&[])
+            .iter()
+            .filter(|i| i.is_error())
+            .map(ToString::to_string)
+            .collect();
+        assert_eq!(
+            errors,
+            vec![
+                "error: net 1: all 3 pins sit on cell (4, 4) layer 1: a net needs at least \
+                 two distinct pin cells"
+            ]
+        );
+    }
+
+    /// Shared pin cells as `validate` found them before the sort: one
+    /// `BTreeMap` from cell to the first net seen there, filled in pin
+    /// order; a later pin of another net is shared with that first net.
+    fn shared_pin_cells_btree_reference(c: &Circuit) -> Vec<Option<usize>> {
+        let mut seen: std::collections::BTreeMap<(i32, i32, u8), usize> =
+            std::collections::BTreeMap::new();
+        let mut shared_with = Vec::new();
+        for (idx, net) in c.nets.iter().enumerate() {
+            for pin in net.pins() {
+                let key = (pin.position.x, pin.position.y, pin.layer.index());
+                let owner = *seen.entry(key).or_insert(idx);
+                shared_with.push((owner != idx).then_some(owner));
+            }
+        }
+        shared_with
+    }
+
+    #[test]
+    fn sorted_shared_pin_scan_matches_btree_reference() {
+        use mebl_testkit::{Rng, SplitMix64};
+        let mut rng = SplitMix64::from_seed(0x5a1d_a7e0);
+        let mut shared = 0;
+        for case in 0..200 {
+            // A cramped outline so pins collide by chance.
+            let draw = |rng: &mut SplitMix64| {
+                Pin::new(
+                    Point::new(rng.gen_range(0i32..=7), rng.gen_range(0i32..=7)),
+                    Layer::new(rng.gen_index(3) as u8),
+                )
+            };
+            let mut nets: Vec<Net> = Vec::new();
+            for i in 0..1 + rng.gen_index(12) {
+                let mut pins: Vec<Pin> =
+                    (0..2 + rng.gen_index(4)).map(|_| draw(&mut rng)).collect();
+                // Forced sharing: a pin of an earlier net (cross-net) and
+                // a repeat of one of this net's own pins (same-net).
+                if let Some(earlier) = (i > 0).then(|| &nets[rng.gen_index(i)]) {
+                    if rng.gen_bool(0.5) {
+                        pins.push(earlier.pins()[rng.gen_index(earlier.degree())]);
+                    }
+                }
+                if rng.gen_bool(0.3) {
+                    pins.push(pins[rng.gen_index(pins.len())]);
+                }
+                nets.push(Net::new(format!("n{i}"), pins));
+            }
+            let c = Circuit::new(format!("case{case}"), Rect::new(0, 0, 7, 7), 3, nets);
+            let shared_with = c.shared_pin_cells();
+            assert_eq!(shared_with, shared_pin_cells_btree_reference(&c), "case {case}");
+            let warned =
+                c.validate(&[]).iter().filter(|i| i.message.contains("shared with")).count();
+            assert_eq!(warned, shared_with.iter().flatten().count(), "case {case}");
+            shared += shared_with.iter().flatten().count();
+        }
+        assert!(shared > 100, "only {shared} shared pins over the cases");
     }
 }

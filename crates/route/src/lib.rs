@@ -52,6 +52,7 @@ use mebl_netlist::{Circuit, CircuitIssue};
 use mebl_graph::FastSet;
 pub use mebl_par::Pool;
 use mebl_stitch::{StitchConfig, StitchPlan};
+use std::cell::OnceCell;
 
 /// Configuration of the full routing flow.
 #[derive(Debug, Clone, PartialEq)]
@@ -412,12 +413,14 @@ pub fn build_report(
         if !detailed.routed[i] {
             continue;
         }
-        let pins: FastSet<Point> = circuit.nets()[i]
-            .pins()
-            .iter()
-            .map(|p| p.position)
-            .collect();
-        let v = mebl_stitch::check_geometry(plan, geom, |p| pins.contains(&p));
+        // `check_geometry` asks about pins only for vias and wires on a
+        // stitching line, so most nets never build their pin set.
+        let pins: OnceCell<FastSet<Point>> = OnceCell::new();
+        let is_pin = |p| {
+            pins.get_or_init(|| circuit.nets()[i].pins().iter().map(|pin| pin.position).collect())
+                .contains(&p)
+        };
+        let v = mebl_stitch::check_geometry(plan, geom, is_pin);
         report.via_violations += v.via_violations;
         report.via_violations_off_pin += v.via_violations_off_pin;
         report.vertical_violations += v.vertical_violations;

@@ -127,9 +127,13 @@ impl Default for ServeConfig {
 /// compatibility changes, and old records become typed misses instead
 /// of wrong answers. v2: keys hash the circuit source and name
 /// ([`JobRequest::cache_key`]); v1 records may hold a body aliased
-/// across a benchmark request and its inline text.
+/// across a benchmark request and its inline text. v3:
+/// [`Circuit::validate`](mebl_netlist::Circuit::validate) rejects a net
+/// whose pins all sit on one cell, so a v2 record may hold a 200 for a
+/// circuit that now answers 422, and the key is looked up before the
+/// circuit is validated.
 fn store_fingerprint() -> u64 {
-    mebl_store::fnv1a(b"mebl-serve stored-response v2")
+    mebl_store::fnv1a(b"mebl-serve stored-response v3")
 }
 
 /// Encodes a cacheable response for the store: status (u16 LE) ‖ body.

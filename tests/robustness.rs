@@ -417,3 +417,50 @@ fn hostile_edit_lists_are_survived() {
         assert!(survived.is_ok(), "hostile edit case {i} panicked: {raw:?}");
     }
 }
+
+/// A net whose pins all sit on one cell has nothing to connect. An edit
+/// adding one must fail with the typed `InvalidCircuit` naming the new
+/// net, never come back as an outcome that calls it routed with no
+/// geometry (which the strict audit rejects with `PinNotCovered`).
+#[test]
+fn coincident_pin_add_net_is_a_typed_error() {
+    let circuit = quick("S5378", 1);
+    let config = RouterConfig::stitch_aware();
+    let prior = Router::new(config.clone()).route(&circuit);
+    let plan = mebl_stitch::StitchPlan::new(circuit.outline(), config.stitch);
+    let o = circuit.outline();
+    let taken = |x: i32, y: i32| {
+        plan.lines().contains(&x)
+            || circuit
+                .nets()
+                .iter()
+                .any(|n| n.pins().iter().any(|p| p.position == Point::new(x, y)))
+    };
+    let (x, y) = (o.x0() + 1..o.x1())
+        .flat_map(|x| (o.y0() + 1..o.y1()).map(move |y| (x, y)))
+        .find(|&(x, y)| !taken(x, y))
+        .expect("a free cell off the stitching lines");
+    for layer in [0, 1] {
+        let pin = Pin::new(Point::new(x, y), Layer::new(layer));
+        for pins in [vec![pin, pin], vec![pin, pin, pin]] {
+            let edits = vec![mebl_delta::CircuitEdit::AddNet {
+                name: "dot".into(),
+                pins,
+            }];
+            match mebl_delta::route_delta(&circuit, &prior, &edits, &config) {
+                Err(mebl_delta::DeltaError::InvalidCircuit(issues)) => {
+                    let new_net = circuit.net_count();
+                    assert!(
+                        issues.iter().any(|i| i.is_error() && i.net == Some(new_net)),
+                        "{issues:?}"
+                    );
+                }
+                Err(other) => panic!("expected InvalidCircuit, got {other:?}"),
+                Ok(delta) => panic!(
+                    "coincident pins produced an outcome ({} of {} nets routed)",
+                    delta.outcome.report.routed_nets, delta.outcome.report.total_nets
+                ),
+            }
+        }
+    }
+}

@@ -155,6 +155,47 @@ pub struct DetailedResult {
     pub routed_count: usize,
 }
 
+impl DetailedResult {
+    /// `n` nets, none routed.
+    fn unrouted(n: usize) -> Self {
+        Self {
+            geometry: vec![RouteGeometry::new(); n],
+            routed: vec![false; n],
+            routed_count: 0,
+        }
+    }
+
+    /// Publishes `net` as routed with `geometry`.
+    fn publish(&mut self, net: usize, geometry: RouteGeometry) {
+        self.geometry[net] = geometry;
+        self.routed[net] = true;
+        self.routed_count += 1;
+    }
+}
+
+/// Grid points a net's geometry covers: every segment point and both
+/// ends of every via. A routed net owns exactly these cells plus its
+/// pins, since geometry extraction draws every cell the net keeps.
+fn geometry_points(geometry: &RouteGeometry) -> impl Iterator<Item = GridPoint> + '_ {
+    let wires = geometry.segments().iter().flat_map(Segment::points);
+    let vias = geometry.vias().iter().flat_map(|via| {
+        [via.lower, via.upper()].map(|layer| GridPoint::new(via.x, via.y, layer))
+    });
+    wires.chain(vias)
+}
+
+/// What an entry point hands the shared driver: the grid with
+/// blockages, preserved geometry, pins and seeds occupied; each net's
+/// pin cells and seed runs (empty for a seedless route); the nets to
+/// route, in pass-0 order; and the result, holding what is preserved.
+struct RoutingState {
+    grid: DetailedGrid,
+    pin_cells: Vec<Vec<u32>>,
+    seeds: Vec<Vec<Vec<u32>>>,
+    targets: Vec<usize>,
+    result: DetailedResult,
+}
+
 /// Routes all nets on the detailed grid.
 ///
 /// Seeds from `tracks` are pre-placed (nets in `tracks.failed_nets` get no
@@ -163,7 +204,7 @@ pub struct DetailedResult {
 /// components are then joined by stitch-aware shortest paths and its final
 /// cell set is pruned of dangling stubs before geometry extraction.
 ///
-/// The per-column cost layers are built once here and shared by every
+/// The per-column cost layers are built once per run and shared by every
 /// search; each worker keeps one reusable [`DialSolver`] so routing a net
 /// costs an epoch bump, not an allocation storm.
 pub fn route_detailed(
@@ -173,18 +214,21 @@ pub fn route_detailed(
     tracks: &TrackResult,
     config: &DetailedConfig,
 ) -> DetailedResult {
+    let mut state = scratch_state(circuit, plan, graph, tracks, config);
+    route_targets(circuit, plan, config, &mut state);
+    state.result
+}
+
+/// Grid state of a from-scratch route: every net is a target.
+fn scratch_state(
+    circuit: &Circuit,
+    plan: &StitchPlan,
+    graph: &TileGraph,
+    tracks: &TrackResult,
+    config: &DetailedConfig,
+) -> RoutingState {
     let n = circuit.net_count();
     let mut grid = DetailedGrid::new(circuit.outline(), circuit.layer_count());
-    let field = CostField::build(
-        &grid,
-        plan,
-        config.alpha,
-        config.beta,
-        config.gamma,
-        config.via_cost,
-        config.stitch_costs,
-    );
-    let mut solver = DialSolver::new(field.span);
     occupy_blockages(&mut grid, circuit);
 
     // Fixed pins block their cells for everyone else, and allow the
@@ -192,7 +236,7 @@ pub fn route_detailed(
     let pin_cells = occupy_pins(&mut grid, circuit);
 
     // Place seeds; runs interrupted by foreign pins split into sub-runs.
-    let mut seed_components: Vec<Vec<Vec<u32>>> = vec![Vec::new(); n];
+    let mut seeds: Vec<Vec<Vec<u32>>> = vec![Vec::new(); n];
     for seg in &tracks.segments {
         if tracks.failed_nets.contains(&seg.net) {
             continue;
@@ -205,11 +249,11 @@ pub fn route_detailed(
                     grid.occupy(node, seg.net as u32);
                     current.push(node);
                 } else if !current.is_empty() {
-                    seed_components[seg.net].push(std::mem::take(&mut current));
+                    seeds[seg.net].push(std::mem::take(&mut current));
                 }
             }
             if !current.is_empty() {
-                seed_components[seg.net].push(current);
+                seeds[seg.net].push(current);
             }
         }
     }
@@ -223,94 +267,20 @@ pub fn route_detailed(
         bad_ends[seg.net] += usize::from(seg.end_is_bad(plan, false))
             + usize::from(seg.end_is_bad(plan, true));
     }
-    let mut order: Vec<usize> = (0..n).collect();
+    let mut targets: Vec<usize> = (0..n).collect();
     if config.stitch_order {
-        order.sort_by_key(|&i| (Reverse(bad_ends[i]), circuit.nets()[i].hpwl(), i));
+        targets.sort_by_key(|&i| (Reverse(bad_ends[i]), circuit.nets()[i].hpwl(), i));
     } else {
-        order.sort_by_key(|&i| (circuit.nets()[i].hpwl(), i));
+        targets.sort_by_key(|&i| (circuit.nets()[i].hpwl(), i));
     }
 
-    let mut result = DetailedResult {
-        geometry: vec![RouteGeometry::new(); n],
-        routed: vec![false; n],
-        routed_count: 0,
-    };
-
-    route_pass(
-        plan, &field, config, &order, &mut grid, &mut solver, &pin_cells,
-        &seed_components, &mut result,
-    );
-
-    // Final failed-net rip-up/reroute rounds: all failed nets' resources
-    // are free now, and the expansion budget is raised — the "failed net
-    // rip-up/rerouting" of the second bottom-up pass (Fig. 6).
-    for round in 1..=2u32 {
-        if result.routed_count == n {
-            break;
-        }
-        if config.cancel.is_cancelled_now() {
-            config.cancel.record(Degradation::new(
-                Stage::Detailed,
-                DegradationKind::BudgetExhausted,
-                None,
-                format!(
-                    "rip-up/reroute rounds {round}..2 skipped ({} nets still failed)",
-                    n - result.routed_count
-                ),
-            ));
-            break;
-        }
-        let mut failed: Vec<usize> = order
-            .iter()
-            .copied()
-            .filter(|&i| !result.routed[i])
-            .collect();
-        failed.sort_by_key(|&i| (circuit.nets()[i].hpwl(), i));
-        let relaxed = DetailedConfig {
-            node_cap: config.node_cap.checked_shl(2 * round).unwrap_or(usize::MAX),
-            margin: config.margin.checked_shl(round).unwrap_or(Coord::MAX),
-            ..config.clone()
-        };
-        let no_seeds: Vec<Vec<Vec<u32>>> = vec![Vec::new(); n];
-        route_pass(
-            plan, &field, &relaxed, &failed, &mut grid, &mut solver, &pin_cells,
-            &no_seeds, &mut result,
-        );
+    RoutingState {
+        grid,
+        pin_cells,
+        seeds,
+        targets,
+        result: DetailedResult::unrouted(n),
     }
-
-    // Final blocker rip-up: a net still failed here survived a complete
-    // search of its fully widened window, so it is walled in by routed
-    // nets and no further widening can help. One serial round (identical
-    // at every worker count by construction): price other nets' cells
-    // instead of forbidding them, rip up the blockers along the cheapest
-    // soft path, route the walled-in net through the freed corridor,
-    // then reroute the ripped nets around it. Nets still unrouted
-    // afterwards fall through to the degradation records below.
-    if result.routed_count < n && !config.cancel.is_cancelled_now() {
-        blocker_ripup_round(
-            circuit, plan, &field, config, &mut grid, &mut solver, &pin_cells,
-            &order, &mut result,
-        );
-    }
-
-    // Surface window-widening exhaustion: every net still unrouted after
-    // the final round gets one recorded degradation, in net-index order
-    // so the record stream never depends on worker scheduling. Runs that
-    // were budget-cancelled skip this — their failed nets already carry
-    // budget-exhausted records.
-    if result.routed_count < n && !config.cancel.is_cancelled_now() {
-        for net in 0..n {
-            if !result.routed[net] {
-                config.cancel.record(Degradation::new(
-                    Stage::Detailed,
-                    DegradationKind::SearchExhausted,
-                    Some(net),
-                    "search window widening exhausted; net left unrouted",
-                ));
-            }
-        }
-    }
-    result
 }
 
 /// Incrementally routes only the nets whose `preserved` entry is `None`,
@@ -321,16 +291,15 @@ pub fn route_detailed(
 /// retried; `None` marks net `i` as a target for (re-)routing. Preserved
 /// occupancy is rebuilt from segment points and via endpoints plus every
 /// net's pins, which is exactly the state the prior detailed run left
-/// behind (geometry extraction frees all other cells), so ripping up the
-/// target nets is an exact-inverse undo.
+/// behind (geometry extraction draws every cell a routed net keeps), so
+/// ripping up the target nets is an exact-inverse undo.
 ///
-/// Target nets route seedless (pin-to-pin, like rip-up rounds) through
-/// the same deterministic batched passes, relaxed rounds and blocker
-/// rip-up as [`route_detailed`] — except rip-up victims are restricted
-/// to target nets. Every cell a preserved net owns stays hard even for
-/// the blocker round's soft search, so a delta run never disturbs what
-/// it promised to keep. Each preserved geometry moves into the result
-/// unchanged.
+/// Target nets route seedless (pin-to-pin, like rip-up rounds), smallest
+/// first, through the same driver as [`route_detailed`] — except rip-up
+/// victims are restricted to target nets. Every cell a preserved net
+/// owns stays hard even for the blocker round's soft search, so a delta
+/// run never disturbs what it promised to keep. Each preserved geometry
+/// moves into the result unchanged.
 ///
 /// # Panics
 ///
@@ -347,26 +316,10 @@ pub fn route_incremental(
         "preserved state must cover every net"
     );
     let mut grid = DetailedGrid::new(circuit.outline(), circuit.layer_count());
-    let field = CostField::build(
-        &grid,
-        plan,
-        config.alpha,
-        config.beta,
-        config.gamma,
-        config.via_cost,
-        config.stitch_costs,
-    );
-    let mut solver = DialSolver::new(field.span);
     occupy_blockages(&mut grid, circuit);
 
-    let mut result = DetailedResult {
-        geometry: vec![RouteGeometry::new(); n],
-        routed: vec![false; n],
-        routed_count: 0,
-    };
-
+    let mut result = DetailedResult::unrouted(n);
     let mut targets: Vec<usize> = (0..n).filter(|&i| preserved[i].is_none()).collect();
-    let target_count = targets.len();
     targets.sort_by_key(|&i| (circuit.nets()[i].hpwl(), i));
 
     // Re-occupy preserved geometry first, then pins: a pin cell always
@@ -375,15 +328,8 @@ pub fn route_incremental(
         let Some((routed, geometry)) = kept else {
             continue;
         };
-        for seg in geometry.segments() {
-            for gp in seg.points() {
-                grid.occupy(grid.node(gp), i as u32);
-            }
-        }
-        for via in geometry.vias() {
-            for layer in [via.lower, via.upper()] {
-                grid.occupy(grid.node(GridPoint::new(via.x, via.y, layer)), i as u32);
-            }
+        for gp in geometry_points(&geometry) {
+            grid.occupy(grid.node(gp), i as u32);
         }
         result.geometry[i] = geometry;
         result.routed[i] = routed;
@@ -391,61 +337,102 @@ pub fn route_incremental(
     }
     let pin_cells = occupy_pins(&mut grid, circuit);
 
-    let no_seeds: Vec<Vec<Vec<u32>>> = vec![Vec::new(); n];
+    let mut state = RoutingState {
+        grid,
+        pin_cells,
+        seeds: Vec::new(),
+        targets,
+        result,
+    };
+    route_targets(circuit, plan, config, &mut state);
+    state.result
+}
+
+/// The routing driver both entry points share: pass 0 over the targets,
+/// one relaxed rip-up/reroute round, the blocker round and the
+/// exhaustion records. Only target nets are routed, retried or ripped.
+fn route_targets(
+    circuit: &Circuit,
+    plan: &StitchPlan,
+    config: &DetailedConfig,
+    state: &mut RoutingState,
+) {
+    let field = CostField::build(
+        &state.grid,
+        plan,
+        config.alpha,
+        config.beta,
+        config.gamma,
+        config.via_cost,
+        config.stitch_costs,
+    );
+    let mut solver = DialSolver::new(field.span);
+    let RoutingState {
+        grid,
+        pin_cells,
+        seeds,
+        targets,
+        result,
+    } = state;
+    let targets: &[usize] = targets;
+    let failed = |result: &DetailedResult| -> Vec<usize> {
+        targets.iter().copied().filter(|&i| !result.routed[i]).collect()
+    };
+
     route_pass(
-        plan, &field, config, &targets, &mut grid, &mut solver, &pin_cells,
-        &no_seeds, &mut result,
+        plan, &field, config, targets, grid, &mut solver, pin_cells, seeds, result,
     );
 
-    let routed_targets =
-        |result: &DetailedResult| targets.iter().filter(|&&i| result.routed[i]).count();
-    for round in 1..=2u32 {
-        if routed_targets(&result) == target_count {
-            break;
-        }
+    // Failed-net rip-up/reroute — the second bottom-up pass of the
+    // framework (Fig. 6): all failed nets' resources are free now, so
+    // they route seedless, smallest first, with a widened window and a
+    // raised expansion budget.
+    let mut retry = failed(result);
+    if !retry.is_empty() {
         if config.cancel.is_cancelled_now() {
             config.cancel.record(Degradation::new(
                 Stage::Detailed,
                 DegradationKind::BudgetExhausted,
                 None,
                 format!(
-                    "rip-up/reroute rounds {round}..2 skipped ({} nets still failed)",
-                    target_count - routed_targets(&result)
+                    "rip-up/reroute round skipped ({} nets still failed)",
+                    retry.len()
                 ),
             ));
-            break;
+        } else {
+            retry.sort_by_key(|&i| (circuit.nets()[i].hpwl(), i));
+            let relaxed = DetailedConfig {
+                node_cap: config.node_cap.checked_shl(2).unwrap_or(usize::MAX),
+                margin: config.margin.checked_shl(1).unwrap_or(Coord::MAX),
+                ..config.clone()
+            };
+            route_pass(
+                plan, &field, &relaxed, &retry, grid, &mut solver, pin_cells, &[], result,
+            );
         }
-        let mut failed: Vec<usize> = targets
-            .iter()
-            .copied()
-            .filter(|&i| !result.routed[i])
-            .collect();
-        failed.sort_by_key(|&i| (circuit.nets()[i].hpwl(), i));
-        let relaxed = DetailedConfig {
-            node_cap: config.node_cap.checked_shl(2 * round).unwrap_or(usize::MAX),
-            margin: config.margin.checked_shl(round).unwrap_or(Coord::MAX),
-            ..config.clone()
-        };
-        route_pass(
-            plan, &field, &relaxed, &failed, &mut grid, &mut solver, &pin_cells,
-            &no_seeds, &mut result,
-        );
     }
 
-    if routed_targets(&result) < target_count && !config.cancel.is_cancelled_now() {
+    // Final blocker rip-up: a net still failed here survived a complete
+    // search of its fully widened window, so it is walled in by routed
+    // nets and no further widening can help. One serial round (identical
+    // at every worker count by construction): price other nets' cells
+    // instead of forbidding them, rip up the blockers along the cheapest
+    // soft path, route the walled-in net through the freed corridor,
+    // then reroute the ripped nets around it. Nets still unrouted
+    // afterwards fall through to the degradation records below.
+    if !failed(result).is_empty() && !config.cancel.is_cancelled_now() {
         blocker_ripup_round(
-            circuit, plan, &field, config, &mut grid, &mut solver, &pin_cells,
-            &targets, &mut result,
+            circuit, plan, &field, config, grid, &mut solver, pin_cells, targets, result,
         );
     }
 
+    // Surface window-widening exhaustion: every target still unrouted
+    // gets one recorded degradation, in net-index order so the record
+    // stream never depends on worker scheduling. Runs that were
+    // budget-cancelled skip this — their failed nets already carry
+    // budget-exhausted records.
     if !config.cancel.is_cancelled_now() {
-        // Net-index order, matching `route_detailed`'s record stream.
-        let mut missing: Vec<usize> = targets
-            .iter()
-            .copied()
-            .filter(|&i| !result.routed[i])
-            .collect();
+        let mut missing = failed(result);
         missing.sort_unstable();
         for net in missing {
             config.cancel.record(Degradation::new(
@@ -456,7 +443,6 @@ pub fn route_incremental(
             ));
         }
     }
-    result
 }
 
 /// Nets per speculative batch. Fixed (never derived from the worker
@@ -533,7 +519,8 @@ struct NetAttempt {
 }
 
 /// One routing pass over `order` in deterministic speculative batches;
-/// skips already-routed nets and updates `result` in place.
+/// skips already-routed nets and updates `result` in place. `seeds` is
+/// indexed by net; a seedless pass hands in an empty slice.
 ///
 /// Per batch, each worker routes nets against a clone of the pre-batch
 /// grid (with its own reusable solver) and rolls its clone back after
@@ -552,7 +539,7 @@ fn route_pass(
     grid: &mut DetailedGrid,
     solver: &mut DialSolver,
     pin_cells: &[Vec<u32>],
-    seed_components: &[Vec<Vec<u32>>],
+    seeds: &[Vec<Vec<u32>>],
     result: &mut DetailedResult,
 ) {
     let pending: Vec<usize> = order
@@ -577,8 +564,7 @@ fn route_pass(
                 let (local, scratch) = ctx;
                 let mut log = ChangeLog::default();
                 let (routed, geometry) = route_one_net(
-                    plan, field, config, net, local, scratch, &mut log, pin_cells,
-                    seed_components,
+                    plan, field, config, net, local, scratch, &mut log, pin_cells, seeds,
                 );
                 let delta = log.delta(local);
                 log.rollback(local);
@@ -602,22 +588,17 @@ fn route_pass(
                     set_raw_occupancy(grid, node, new);
                 }
                 if attempt.routed {
-                    result.geometry[net] = attempt.geometry;
-                    result.routed[net] = true;
-                    result.routed_count += 1;
+                    result.publish(net, attempt.geometry);
                 }
             } else {
                 // A batch peer won the race for shared cells: re-route
                 // this net inline against the live grid, keeping changes.
                 let mut log = ChangeLog::default();
                 let (routed, geometry) = route_one_net(
-                    plan, field, config, net, grid, solver, &mut log, pin_cells,
-                    seed_components,
+                    plan, field, config, net, grid, solver, &mut log, pin_cells, seeds,
                 );
                 if routed {
-                    result.geometry[net] = geometry;
-                    result.routed[net] = true;
-                    result.routed_count += 1;
+                    result.publish(net, geometry);
                 }
             }
         }
@@ -644,17 +625,12 @@ fn route_one_net(
     solver: &mut DialSolver,
     log: &mut ChangeLog,
     pin_cells: &[Vec<u32>],
-    seed_components: &[Vec<Vec<u32>>],
+    seeds: &[Vec<Vec<u32>>],
 ) -> (bool, RouteGeometry) {
-    let mut components: Vec<FastSet<u32>> = Vec::new();
-    for &cell in &pin_cells[net] {
-        components.push(std::iter::once(cell).collect());
-    }
-    for comp in &seed_components[net] {
-        components.push(comp.iter().copied().collect());
-    }
-    merge_touching(grid, &mut components);
-    let own_pins = pin_points(grid, &pin_cells[net]);
+    let pins = &pin_cells[net];
+    let net_seeds = seeds.get(net).map_or(&[][..], Vec::as_slice);
+    let mut components = components_of(grid, pins, net_seeds);
+    let own_pins = pin_points(grid, pins);
 
     let mut ok = connect_components(
         grid,
@@ -667,21 +643,12 @@ fn route_one_net(
         &own_pins,
         &mut components,
     );
-    if !ok && !seed_components[net].is_empty() {
+    if !ok && !net_seeds.is_empty() {
         // Failed-net rip-up/reroute (second bottom-up pass of the
         // framework): drop the net's planned segments and route the
         // pins directly.
-        for comp in components.drain(..) {
-            for cell in comp {
-                if !pin_cells[net].contains(&cell) {
-                    log.free(grid, cell);
-                }
-            }
-        }
-        for &cell in &pin_cells[net] {
-            components.push(std::iter::once(cell).collect());
-        }
-        merge_touching(grid, &mut components);
+        free_except_pins(grid, log, &components, pins);
+        components = components_of(grid, pins, &[]);
         ok = connect_components(
             grid,
             solver,
@@ -697,7 +664,7 @@ fn route_one_net(
     // `ok` implies exactly one component remains.
     if let Some(full) = ok.then(|| components.pop()).flatten() {
         let mut cells = full.clone();
-        prune_stubs(grid, &mut cells, &pin_cells[net]);
+        prune_stubs(grid, &mut cells, pins);
         // Free pruned cells on the grid.
         for &cell in &full {
             if !cells.contains(&cell) {
@@ -706,14 +673,7 @@ fn route_one_net(
         }
         (true, extract_geometry(grid, &cells))
     } else {
-        // Rip up everything except the fixed pins.
-        for comp in &components {
-            for &cell in comp {
-                if !pin_cells[net].contains(&cell) {
-                    log.free(grid, cell);
-                }
-            }
-        }
+        free_except_pins(grid, log, &components, pins);
         if config.cancel.is_cancelled() {
             config.cancel.record(Degradation::new(
                 Stage::Detailed,
@@ -723,6 +683,29 @@ fn route_one_net(
             ));
         }
         (false, RouteGeometry::new())
+    }
+}
+
+/// A net's pins and seed runs as components, merged where they touch.
+fn components_of(grid: &DetailedGrid, pins: &[u32], seeds: &[Vec<u32>]) -> Vec<FastSet<u32>> {
+    let singletons = pins.iter().map(|&cell| std::iter::once(cell).collect());
+    let runs = seeds.iter().map(|run| run.iter().copied().collect());
+    let mut components: Vec<FastSet<u32>> = singletons.chain(runs).collect();
+    merge_touching(grid, &mut components);
+    components
+}
+
+/// Rips up every cell of `components` except the net's fixed pins.
+fn free_except_pins(
+    grid: &mut DetailedGrid,
+    log: &mut ChangeLog,
+    components: &[FastSet<u32>],
+    pins: &[u32],
+) {
+    for &cell in components.iter().flatten() {
+        if !pins.contains(&cell) {
+            log.free(grid, cell);
+        }
     }
 }
 
@@ -777,6 +760,19 @@ fn merge_touching(grid: &DetailedGrid, components: &mut Vec<FastSet<u32>>) {
     *components = out;
 }
 
+/// Removes and returns the smallest component, the first one on ties.
+/// A plain fold (first minimum wins, matching `min_by_key`) keeps this
+/// total: callers only ask while `components` holds two or more.
+fn take_smallest(components: &mut Vec<FastSet<u32>>) -> FastSet<u32> {
+    let mut smallest = 0usize;
+    for i in 1..components.len() {
+        if components[i].len() < components[smallest].len() {
+            smallest = i;
+        }
+    }
+    components.swap_remove(smallest)
+}
+
 /// Connects all components of a net; `true` on success (exactly one
 /// component remains, left at the back of `components`).
 #[allow(clippy::too_many_arguments)]
@@ -792,33 +788,16 @@ fn connect_components(
     components: &mut Vec<FastSet<u32>>,
 ) -> bool {
     while components.len() > 1 {
-        // Smallest component as source. A plain fold (first minimum wins,
-        // matching `min_by_key`) keeps this total: the loop guard makes
-        // `components` non-empty.
-        let mut src_idx = 0usize;
-        for i in 1..components.len() {
-            if components[i].len() < components[src_idx].len() {
-                src_idx = i;
-            }
-        }
-        let source = components.swap_remove(src_idx);
+        let source = take_smallest(components);
         // Sorted source order keeps tie-breaking (and thus paths)
         // deterministic despite set iteration order. The Dial solver
         // takes the remaining components as targets directly (it marks
         // them in its own stamp array and keeps one heuristic box per
-        // component); only the legacy oracle needs a flattened set.
+        // component); only the heap oracle needs a flattened set.
         let mut src_nodes: Vec<u32> = source.iter().copied().collect();
         src_nodes.sort_unstable();
-        enum EngineInputs {
-            Dial,
-            Heap(FastSet<u32>),
-        }
-        let inputs = match config.engine {
-            SearchEngine::Dial => EngineInputs::Dial,
-            SearchEngine::LegacyHeap => {
-                EngineInputs::Heap(components.iter().flat_map(|c| c.iter().copied()).collect())
-            }
-        };
+        let heap_targets: Option<FastSet<u32>> = (config.engine == SearchEngine::LegacyHeap)
+            .then(|| components.iter().flatten().copied().collect());
 
         let mut found = None;
         for attempt in 0..=config.retries {
@@ -833,13 +812,14 @@ fn connect_components(
                 .margin
                 .checked_shl(attempt as u32)
                 .unwrap_or(Coord::MAX);
-            let path = match &inputs {
-                EngineInputs::Dial => solver.find_path(
+            let path = match &heap_targets {
+                None => solver.find_path(
                     grid, field, net, own_pins, &src_nodes, components, margin, node_cap,
                     &config.cancel,
                 ),
-                EngineInputs::Heap(targets) => legacy_astar(
+                Some(targets) => heap_astar(
                     grid, plan, config, net, own_pins, &src_nodes, targets, margin, node_cap,
+                    &[], &FastSet::default(),
                 ),
             };
             if let Some(p) = path {
@@ -888,15 +868,24 @@ fn connect_components(
     true
 }
 
-/// The pre-dense-grid engine: windowed stitch-aware A\* (eq. 10) on the
-/// generic heap-based search in `mebl-graph`, from `source` cells to any
-/// cell of `targets`. Kept as the [`SearchEngine::LegacyHeap`] oracle
-/// for the differential harness; its cost model is the Dial solver's
-/// scaled by a constant factor, so both engines rank paths identically
-/// up to tie-breaking. Returns the path including the source cell it
-/// grew from and the reached target.
+/// Soft-search cost for entering a cell owned by a rippable net: far
+/// above any realistic hard-path cost, so the search minimises the
+/// number of blocking cells first and ordinary wire cost second.
+const BLOCK_PENALTY: u64 = 1 << 32;
+
+/// Windowed stitch-aware A\* (eq. 10) on the generic heap-based search
+/// in `mebl-graph`, from `sources` to any cell of `targets`, within the
+/// bounding box of both grown by `margin`. A cell owned by a
+/// `rippable` net is passable at [`BLOCK_PENALTY`] unless it is one of
+/// `hard_pins`, so the cheapest path names a minimal corridor of
+/// blockers; every cell of any other net is hard. With nothing
+/// rippable this is the [`SearchEngine::LegacyHeap`] oracle for the
+/// differential harness: its cost model is the Dial solver's scaled by
+/// a constant factor, so both engines rank paths identically up to
+/// tie-breaking. Returns the path including the source cell it grew
+/// from and the reached target.
 #[allow(clippy::too_many_arguments)]
-fn legacy_astar(
+fn heap_astar(
     grid: &DetailedGrid,
     plan: &StitchPlan,
     config: &DetailedConfig,
@@ -906,6 +895,8 @@ fn legacy_astar(
     targets: &FastSet<u32>,
     margin: Coord,
     node_cap: usize,
+    rippable: &[bool],
+    hard_pins: &FastSet<u32>,
 ) -> Option<Vec<u32>> {
     /// Historic cost scale: one α unit = 10 cost points.
     const UNIT: u64 = 10;
@@ -941,7 +932,9 @@ fn legacy_astar(
         ((dx + dy) as u64).saturating_mul(UNIT).saturating_mul(config.alpha)
     };
 
-    // `sources` arrives sorted from `connect_components`.
+    let soft = |owner: u32| rippable.get(owner as usize) == Some(&true);
+
+    // `sources` arrives sorted from the caller.
     let mut expanded = 0usize;
     let mut aborted = false;
     let found = mebl_graph::astar(
@@ -965,271 +958,8 @@ fn legacy_astar(
                     continue;
                 }
                 let v = grid.node(q);
-                if !grid.passable(v, net) {
-                    continue;
-                }
-                let z_move = q.layer != pu.layer;
-                let y_move = q.y != pu.y;
-                // Hard constraints: never ride a stitching line
-                // vertically; z-moves on a line only at the net's pins.
-                if plan.is_on_line(pu.x) {
-                    if y_move {
-                        continue;
-                    }
-                    if z_move && !own_pins.contains(&pu.point()) {
-                        continue;
-                    }
-                }
-                let mut step = if z_move {
-                    UNIT.saturating_mul(config.alpha).saturating_mul(config.via_cost)
-                } else {
-                    UNIT.saturating_mul(config.alpha)
-                };
-                if config.stitch_costs {
-                    if z_move && plan.in_unfriendly_region(q.x) {
-                        step = step.saturating_add(UNIT.saturating_mul(config.beta));
-                    }
-                    if !z_move && plan.in_escape_region(q.x) {
-                        step = step.saturating_add(UNIT.saturating_mul(config.gamma));
-                    }
-                }
-                out.push((v, step));
-            }
-            out
-        },
-        |&u| if u == START { 0 } else { h(grid.point(u)) },
-        |&u| u != START && targets.contains(&u),
-    );
-    if aborted {
-        return None;
-    }
-    let (mut path, _) = found?;
-    path.retain(|&c| c != START);
-    Some(path)
-}
-
-/// Soft-search cost for entering a cell owned by another net: far above
-/// any realistic hard-path cost, so the search minimises the number of
-/// blocking cells first and ordinary wire cost second.
-const BLOCK_PENALTY: u64 = 1 << 32;
-
-/// One rip-up/reroute round for walled-in nets (see the call site in
-/// [`route_detailed`]). Serial on the master grid in deterministic net
-/// order, so the outcome never depends on the worker count.
-///
-/// Only nets in `candidates` are recovered or ripped as blockers. Pin
-/// cells and every cell owned by a net outside `candidates` are hard
-/// obstacles even for the soft search: that covers blockage cells
-/// ([`BLOCKAGE_NET`] is never a candidate) and, in an incremental run,
-/// preserved geometry, since a preserved net owns nothing but its
-/// geometry and pins and no candidate can occupy either.
-#[allow(clippy::too_many_arguments)]
-fn blocker_ripup_round(
-    circuit: &Circuit,
-    plan: &StitchPlan,
-    field: &CostField,
-    config: &DetailedConfig,
-    grid: &mut DetailedGrid,
-    solver: &mut DialSolver,
-    pin_cells: &[Vec<u32>],
-    candidates: &[usize],
-    result: &mut DetailedResult,
-) {
-    let n = pin_cells.len();
-    let all_pins: FastSet<u32> = pin_cells.iter().flatten().copied().collect();
-    let mut rippable = vec![false; n];
-    for &i in candidates {
-        rippable[i] = true;
-    }
-    let no_seeds: Vec<Vec<Vec<u32>>> = vec![Vec::new(); n];
-    // The soft search and the recovery attempts get the expansion budget
-    // one widening step past the retry ladder's last rung — still
-    // proportional to the configured cap, so starved runs stay starved.
-    let cap = config
-        .node_cap
-        .checked_shl(2 * (config.retries as u32 + 1))
-        .unwrap_or(usize::MAX);
-    // A margin the size of the grid makes any window cover the whole
-    // outline after clamping, without overflowing coordinate arithmetic.
-    let full_margin = grid.width().max(grid.height()) as Coord;
-    let relaxed = DetailedConfig {
-        node_cap: cap,
-        margin: full_margin,
-        retries: 0,
-        ..config.clone()
-    };
-    let mut failed: Vec<usize> = candidates
-        .iter()
-        .copied()
-        .filter(|&i| !result.routed[i])
-        .collect();
-    failed.sort_unstable();
-    failed.dedup();
-    failed.sort_by_key(|&i| (circuit.nets()[i].hpwl(), i));
-    for net in failed {
-        if result.routed[net] || config.cancel.is_cancelled_now() {
-            continue;
-        }
-        // A few rip-up iterations per net: each either removes at least
-        // one blocking net, routes the net, or proves it hopeless.
-        let own_pins = pin_points(grid, &pin_cells[net]);
-        let mut ripped: Vec<usize> = Vec::new();
-        for _ in 0..4 {
-            // Current components: the net's pins (failed nets own
-            // nothing else), merged where they already touch.
-            let mut components: Vec<FastSet<u32>> = pin_cells[net]
-                .iter()
-                .map(|&c| std::iter::once(c).collect())
-                .collect();
-            merge_touching(grid, &mut components);
-            if components.len() <= 1 {
-                break;
-            }
-            let mut src_idx = 0usize;
-            for i in 1..components.len() {
-                if components[i].len() < components[src_idx].len() {
-                    src_idx = i;
-                }
-            }
-            let source = components.swap_remove(src_idx);
-            let mut src_nodes: Vec<u32> = source.iter().copied().collect();
-            src_nodes.sort_unstable();
-            let targets: FastSet<u32> = components.iter().flatten().copied().collect();
-            let Some(path) = soft_astar(
-                grid, plan, config, net as u32, &own_pins, &src_nodes, &targets,
-                &all_pins, &rippable, cap,
-            ) else {
-                break;
-            };
-            let mut blockers: Vec<usize> = path
-                .iter()
-                .filter_map(|&c| grid.occupant(c))
-                .map(|o| o as usize)
-                .filter(|&o| o != net && rippable.get(o) == Some(&true))
-                .collect();
-            blockers.sort_unstable();
-            blockers.dedup();
-            for &b in &blockers {
-                rip_net(grid, b, &pin_cells[b], result);
-                ripped.push(b);
-            }
-            let mut log = ChangeLog::default();
-            let (ok, geometry) = route_one_net(
-                plan, field, &relaxed, net, grid, solver, &mut log, pin_cells,
-                &no_seeds,
-            );
-            if ok {
-                result.geometry[net] = geometry;
-                result.routed[net] = true;
-                result.routed_count += 1;
-                break;
-            }
-            if blockers.is_empty() {
-                break;
-            }
-        }
-        // Reroute the ripped nets around the recovered wire, in net
-        // order; any that fail now stay failed and get recorded by the
-        // caller.
-        ripped.sort_unstable();
-        ripped.dedup();
-        for b in ripped {
-            if result.routed[b] || config.cancel.is_cancelled_now() {
-                continue;
-            }
-            let mut log = ChangeLog::default();
-            let (ok, geometry) = route_one_net(
-                plan, field, config, b, grid, solver, &mut log, pin_cells,
-                &no_seeds,
-            );
-            if ok {
-                result.geometry[b] = geometry;
-                result.routed[b] = true;
-                result.routed_count += 1;
-            }
-        }
-    }
-}
-
-/// Rips a routed net back to its pins: frees every grid cell it owns
-/// except the pins and clears its published result.
-fn rip_net(grid: &mut DetailedGrid, net: usize, pins: &[u32], result: &mut DetailedResult) {
-    if !result.routed[net] {
-        return;
-    }
-    let pin_set: FastSet<u32> = pins.iter().copied().collect();
-    for node in 0..grid.cell_count() as u32 {
-        if grid.occupant(node) == Some(net as u32) && !pin_set.contains(&node) {
-            grid.free(node);
-        }
-    }
-    result.geometry[net] = RouteGeometry::new();
-    result.routed[net] = false;
-    result.routed_count -= 1;
-}
-
-/// Last-ditch variant of [`legacy_astar`] for walled-in nets: cells
-/// owned by `rippable` nets are traversable at [`BLOCK_PENALTY`] apiece
-/// (their pins stay hard, as does every cell of any other net), over
-/// the whole grid rather than a window, so the cheapest result names a
-/// minimal corridor of blockers to rip up. Shares the hard stitch rules
-/// and expansion accounting with the hard searches.
-#[allow(clippy::too_many_arguments)]
-fn soft_astar(
-    grid: &DetailedGrid,
-    plan: &StitchPlan,
-    config: &DetailedConfig,
-    net: u32,
-    own_pins: &FastSet<Point>,
-    sources: &[u32],
-    targets: &FastSet<u32>,
-    all_pins: &FastSet<u32>,
-    rippable: &[bool],
-    node_cap: usize,
-) -> Option<Vec<u32>> {
-    const UNIT: u64 = 10;
-    const START: u32 = u32::MAX;
-    let tbox = Rect::bounding(targets.iter().map(|&c| grid.point(c).point()))?;
-    let h = |p: GridPoint| -> u64 {
-        let dx = if p.x < tbox.x0() {
-            tbox.x0() - p.x
-        } else if p.x > tbox.x1() {
-            p.x - tbox.x1()
-        } else {
-            0
-        };
-        let dy = if p.y < tbox.y0() {
-            tbox.y0() - p.y
-        } else if p.y > tbox.y1() {
-            p.y - tbox.y1()
-        } else {
-            0
-        };
-        ((dx + dy) as u64).saturating_mul(UNIT).saturating_mul(config.alpha)
-    };
-
-    // An occupied cell is hard unless a rippable net owns it.
-    let hard = |owner: u32| rippable.get(owner as usize) != Some(&true);
-
-    let mut expanded = 0usize;
-    let mut aborted = false;
-    let found = mebl_graph::astar(
-        START,
-        |&u: &u32| -> Vec<(u32, u64)> {
-            if u == START {
-                return sources.iter().map(|&s| (s, 0)).collect();
-            }
-            expanded += 1;
-            if expanded > node_cap || config.cancel.charge_expansions(1) {
-                aborted = true;
-                return Vec::new();
-            }
-            let pu = grid.point(u);
-            let mut out = Vec::with_capacity(4);
-            for q in grid.moves(pu) {
-                let v = grid.node(q);
                 let blocked = !grid.passable(v, net);
-                if blocked && (all_pins.contains(&v) || grid.occupant(v).is_some_and(hard)) {
+                if blocked && (hard_pins.contains(&v) || !grid.occupant(v).is_some_and(soft)) {
                     continue;
                 }
                 let z_move = q.layer != pu.layer;
@@ -1273,6 +1003,143 @@ fn soft_astar(
     let (mut path, _) = found?;
     path.retain(|&c| c != START);
     Some(path)
+}
+
+/// One rip-up/reroute round for walled-in nets (see the call site in
+/// `route_targets`). Serial on the master grid in deterministic net
+/// order, so the outcome never depends on the worker count.
+///
+/// Only nets in `candidates` are recovered or ripped as blockers. Pin
+/// cells and every cell owned by a net outside `candidates` are hard
+/// obstacles even for the soft search: that covers blockage cells
+/// ([`BLOCKAGE_NET`] is never a candidate) and, in an incremental run,
+/// preserved geometry, since a preserved net owns nothing but its
+/// geometry and pins and no candidate can occupy either.
+#[allow(clippy::too_many_arguments)]
+fn blocker_ripup_round(
+    circuit: &Circuit,
+    plan: &StitchPlan,
+    field: &CostField,
+    config: &DetailedConfig,
+    grid: &mut DetailedGrid,
+    solver: &mut DialSolver,
+    pin_cells: &[Vec<u32>],
+    candidates: &[usize],
+    result: &mut DetailedResult,
+) {
+    let n = pin_cells.len();
+    let all_pins: FastSet<u32> = pin_cells.iter().flatten().copied().collect();
+    let mut rippable = vec![false; n];
+    for &i in candidates {
+        rippable[i] = true;
+    }
+    // The soft search and the recovery attempts get the expansion budget
+    // one widening step past the retry ladder's last rung — still
+    // proportional to the configured cap, so starved runs stay starved.
+    let cap = config
+        .node_cap
+        .checked_shl(2 * (config.retries as u32 + 1))
+        .unwrap_or(usize::MAX);
+    // A margin the size of the grid makes any window cover the whole
+    // outline after clamping, without overflowing coordinate arithmetic.
+    let full_margin = grid.width().max(grid.height()) as Coord;
+    let relaxed = DetailedConfig {
+        node_cap: cap,
+        margin: full_margin,
+        retries: 0,
+        ..config.clone()
+    };
+    let mut failed: Vec<usize> = candidates
+        .iter()
+        .copied()
+        .filter(|&i| !result.routed[i])
+        .collect();
+    failed.sort_by_key(|&i| (circuit.nets()[i].hpwl(), i));
+    for net in failed {
+        if result.routed[net] || config.cancel.is_cancelled_now() {
+            continue;
+        }
+        // A few rip-up iterations per net: each either removes at least
+        // one blocking net, routes the net, or proves it hopeless.
+        let own_pins = pin_points(grid, &pin_cells[net]);
+        let mut ripped: Vec<usize> = Vec::new();
+        for _ in 0..4 {
+            // Current components: the net's pins (failed nets own
+            // nothing else), merged where they already touch.
+            let mut components = components_of(grid, &pin_cells[net], &[]);
+            if components.len() <= 1 {
+                break;
+            }
+            let mut src_nodes: Vec<u32> = take_smallest(&mut components).into_iter().collect();
+            src_nodes.sort_unstable();
+            let targets: FastSet<u32> = components.iter().flatten().copied().collect();
+            let Some(path) = heap_astar(
+                grid, plan, config, net as u32, &own_pins, &src_nodes, &targets, full_margin,
+                cap, &rippable, &all_pins,
+            ) else {
+                break;
+            };
+            let mut blockers: Vec<usize> = path
+                .iter()
+                .filter_map(|&c| grid.occupant(c))
+                .map(|o| o as usize)
+                .filter(|&o| o != net && rippable.get(o) == Some(&true))
+                .collect();
+            blockers.sort_unstable();
+            blockers.dedup();
+            for &b in &blockers {
+                rip_net(grid, b, &pin_cells[b], result);
+                ripped.push(b);
+            }
+            let mut log = ChangeLog::default();
+            let (ok, geometry) = route_one_net(
+                plan, field, &relaxed, net, grid, solver, &mut log, pin_cells, &[],
+            );
+            if ok {
+                result.publish(net, geometry);
+                break;
+            }
+            if blockers.is_empty() {
+                break;
+            }
+        }
+        // Reroute the ripped nets around the recovered wire, in net
+        // order; any that fail now stay failed and get recorded by the
+        // caller.
+        ripped.sort_unstable();
+        ripped.dedup();
+        for b in ripped {
+            if result.routed[b] || config.cancel.is_cancelled_now() {
+                continue;
+            }
+            let mut log = ChangeLog::default();
+            let (ok, geometry) = route_one_net(
+                plan, field, config, b, grid, solver, &mut log, pin_cells, &[],
+            );
+            if ok {
+                result.publish(b, geometry);
+            }
+        }
+    }
+}
+
+/// Rips a routed net back to its pins: frees the cells of its geometry,
+/// except its pins and any cell another net owns, and clears its
+/// published result.
+fn rip_net(grid: &mut DetailedGrid, net: usize, pins: &[u32], result: &mut DetailedResult) {
+    if !result.routed[net] {
+        return;
+    }
+    let pin_set: FastSet<u32> = pins.iter().copied().collect();
+    for gp in geometry_points(&result.geometry[net]) {
+        let node = grid.node(gp);
+        if grid.occupant(node) == Some(net as u32) && !pin_set.contains(&node) {
+            grid.free(node);
+        }
+    }
+    result.geometry[net] = RouteGeometry::new();
+    result.routed[net] = false;
+    result.routed_count -= 1;
 }
 
 /// Iteratively removes dangling non-pin cells (degree <= 1 in the net's
@@ -1744,6 +1611,65 @@ mod tests {
             .map(|d| d.net)
             .collect();
         assert_eq!(exhausted, vec![Some(2)]);
+    }
+
+    /// The whole-grid scan `rip_net` replaced: frees every cell the net
+    /// owns except its pins.
+    fn rip_net_by_scan(grid: &mut DetailedGrid, net: usize, pins: &[u32]) {
+        for node in 0..grid.cell_count() as u32 {
+            if grid.occupant(node) == Some(net as u32) && !pins.contains(&node) {
+                grid.free(node);
+            }
+        }
+    }
+
+    #[test]
+    fn rip_net_frees_what_a_grid_scan_frees() {
+        use mebl_netlist::{BenchmarkSpec, GenerateConfig};
+        for (name, seed) in [("S5378", 1), ("S9234", 2), ("DMA", 3)] {
+            let spec = BenchmarkSpec::by_name(name).unwrap();
+            let circuit = spec.generate(&GenerateConfig {
+                seed,
+                net_scale: 60.0 / spec.nets as f64,
+                ..GenerateConfig::default()
+            });
+            let plan = StitchPlan::new(circuit.outline(), StitchConfig::default());
+            let global = mebl_global::route_circuit(
+                &circuit,
+                &plan,
+                &mebl_global::GlobalConfig::default(),
+            );
+            let tracks = assign_tracks(
+                &extract_panels(&global),
+                &global.graph,
+                &plan,
+                circuit.layer_count(),
+                &TrackConfig::default(),
+            );
+            let config = DetailedConfig::default();
+            let mut state = scratch_state(&circuit, &plan, &global.graph, &tracks, &config);
+            route_targets(&circuit, &plan, &config, &mut state);
+            let mut freed = 0;
+            for net in (0..circuit.net_count()).filter(|&i| state.result.routed[i]) {
+                let pins = &state.pin_cells[net];
+                let mut by_geometry = state.grid.clone();
+                let mut result = state.result.clone();
+                rip_net(&mut by_geometry, net, pins, &mut result);
+                let mut by_scan = state.grid.clone();
+                rip_net_by_scan(&mut by_scan, net, pins);
+                for node in 0..by_scan.cell_count() as u32 {
+                    assert_eq!(
+                        by_geometry.occupant(node),
+                        by_scan.occupant(node),
+                        "{name}: net {net}, cell {:?}",
+                        by_scan.point(node)
+                    );
+                    freed += usize::from(by_scan.occupant(node) != state.grid.occupant(node));
+                }
+                assert!(!result.routed[net] && result.geometry[net].is_empty());
+            }
+            assert!(freed > 0, "{name}: no routed net owned a cell to free");
+        }
     }
 
     #[test]

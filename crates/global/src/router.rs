@@ -237,7 +237,8 @@ fn psi(demand: u32, capacity: u32) -> f64 {
     (f64::from(demand) / f64::from(capacity)).exp2() - 1.0
 }
 
-/// Routes every net of `circuit` on the global tile graph.
+/// Routes every net of `circuit` on the global tile graph: the
+/// incremental route with nothing preserved.
 ///
 /// Nets are processed in bottom-up multilevel order (smallest bounding box
 /// first), then `config.reroute_passes` negotiation rounds rip up and
@@ -247,43 +248,7 @@ pub fn route_circuit(
     plan: &StitchPlan,
     config: &GlobalConfig,
 ) -> GlobalResult {
-    let graph = TileGraph::new(
-        circuit.outline(),
-        config.tile_size,
-        circuit.layer_count(),
-        plan,
-        config.stitch_aware_capacity,
-    );
-    let mut state = State::new(&graph);
-
-    // Bottom-up multilevel ordering: route the nets that are local at the
-    // finest coarsening level first, then coarser levels — the two-pass
-    // bottom-up framework of [3] (see `CoarseningLadder`).
-    let ladder = crate::CoarseningLadder::build(circuit, &graph);
-    let order: Vec<usize> = ladder.order().to_vec();
-
-    let mut routes: Vec<GlobalRoute> = vec![GlobalRoute::default(); circuit.net_count()];
-    let skipped = route_batched(circuit, &graph, &mut state, config, &order, &mut routes);
-    if skipped > 0 {
-        config.cancel.record(Degradation::new(
-            Stage::Global,
-            DegradationKind::BudgetExhausted,
-            None,
-            format!("{skipped} nets left unrouted at tile level"),
-        ));
-    }
-
-    negotiate(circuit, &graph, &mut state, config, &order, &mut routes);
-
-    let metrics = compute_metrics(&graph, &state, &routes);
-    let (tile_congestion, vertex_utilization) = utilization_maps(&graph, &state, &config.cancel);
-    GlobalResult {
-        routes,
-        graph,
-        metrics,
-        tile_congestion,
-        vertex_utilization,
-    }
+    route_incremental(circuit, plan, config, vec![None; circuit.net_count()])
 }
 
 /// Incrementally routes only the nets whose `preserved` entry is `None`.
@@ -307,69 +272,16 @@ pub fn route_incremental(
     config: &GlobalConfig,
     preserved: Vec<Option<GlobalRoute>>,
 ) -> GlobalResult {
-    incremental_impl(circuit, plan, config, preserved)
-}
-
-/// Reconstructs a [`GlobalResult`] from already-known per-net routes.
-///
-/// Demands, metrics and the utilisation maps are pure functions of the
-/// routes, so a result serialised as routes alone round-trips through
-/// this function bit-identically. No routing, rip-up or negotiation
-/// happens — the routes come back exactly as given.
-///
-/// # Panics
-///
-/// Panics if `routes.len() != circuit.net_count()`.
-pub fn rebuild_result(
-    circuit: &Circuit,
-    plan: &StitchPlan,
-    config: &GlobalConfig,
-    routes: Vec<GlobalRoute>,
-) -> GlobalResult {
-    assert!(
-        routes.len() == circuit.net_count(),
-        "one route slot per net"
-    );
-    let graph = TileGraph::new(
-        circuit.outline(),
-        config.tile_size,
-        circuit.layer_count(),
-        plan,
-        config.stitch_aware_capacity,
-    );
-    let mut state = State::new(&graph);
-    for route in &routes {
-        state.apply_route(&graph, route, 1, &config.cancel);
-    }
-    let metrics = compute_metrics(&graph, &state, &routes);
-    let (tile_congestion, vertex_utilization) = utilization_maps(&graph, &state, &config.cancel);
-    GlobalResult {
-        routes,
-        graph,
-        metrics,
-        tile_congestion,
-        vertex_utilization,
-    }
-}
-
-fn incremental_impl(
-    circuit: &Circuit,
-    plan: &StitchPlan,
-    config: &GlobalConfig,
-    preserved: Vec<Option<GlobalRoute>>,
-) -> GlobalResult {
     assert!(
         preserved.len() == circuit.net_count(),
         "preserved state must cover every net"
     );
-    let graph = TileGraph::new(
-        circuit.outline(),
-        config.tile_size,
-        circuit.layer_count(),
-        plan,
-        config.stitch_aware_capacity,
-    );
+    let graph = tile_graph(circuit, plan, config);
     let mut state = State::new(&graph);
+
+    // Bottom-up multilevel ordering: route the nets that are local at the
+    // finest coarsening level first, then coarser levels — the two-pass
+    // bottom-up framework of [3] (see `CoarseningLadder`).
     let ladder = crate::CoarseningLadder::build(circuit, &graph);
     let order: Vec<usize> = ladder.order().to_vec();
 
@@ -396,9 +308,58 @@ fn incremental_impl(
     }
 
     negotiate(circuit, &graph, &mut state, config, &order, &mut routes);
+    finish(graph, &state, routes, &config.cancel)
+}
 
-    let metrics = compute_metrics(&graph, &state, &routes);
-    let (tile_congestion, vertex_utilization) = utilization_maps(&graph, &state, &config.cancel);
+/// Reconstructs a [`GlobalResult`] from already-known per-net routes.
+///
+/// Demands, metrics and the utilisation maps are pure functions of the
+/// routes, so a result serialised as routes alone round-trips through
+/// this function bit-identically. No routing, rip-up or negotiation
+/// happens — the routes come back exactly as given.
+///
+/// # Panics
+///
+/// Panics if `routes.len() != circuit.net_count()`.
+pub fn rebuild_result(
+    circuit: &Circuit,
+    plan: &StitchPlan,
+    config: &GlobalConfig,
+    routes: Vec<GlobalRoute>,
+) -> GlobalResult {
+    assert!(
+        routes.len() == circuit.net_count(),
+        "one route slot per net"
+    );
+    let graph = tile_graph(circuit, plan, config);
+    let mut state = State::new(&graph);
+    for route in &routes {
+        state.apply_route(&graph, route, 1, &config.cancel);
+    }
+    finish(graph, &state, routes, &config.cancel)
+}
+
+/// The tile graph of `circuit` under `config`'s tile size and capacity
+/// model.
+fn tile_graph(circuit: &Circuit, plan: &StitchPlan, config: &GlobalConfig) -> TileGraph {
+    TileGraph::new(
+        circuit.outline(),
+        config.tile_size,
+        circuit.layer_count(),
+        plan,
+        config.stitch_aware_capacity,
+    )
+}
+
+/// Packs final routes with their graph, metrics and utilisation maps.
+fn finish(
+    graph: TileGraph,
+    state: &State,
+    routes: Vec<GlobalRoute>,
+    cancel: &CancelToken,
+) -> GlobalResult {
+    let metrics = compute_metrics(&graph, state, &routes);
+    let (tile_congestion, vertex_utilization) = utilization_maps(&graph, state, cancel);
     GlobalResult {
         routes,
         graph,

@@ -5,10 +5,13 @@
 //! Because routing is deterministic (DESIGN.md §9) and response bodies
 //! contain no wall-clock fields, serving the stored bytes is
 //! **bit-identical** to re-running the job — the cache is a pure
-//! speedup, never an observable behavior change. Only clean
-//! (undegraded) results are inserted: a degraded body reflects the
-//! budget that produced it, not the request, so replaying it for a
-//! future identical request would be wrong.
+//! speedup, never an observable behavior change. Only reproducible
+//! results are inserted (`Server::reproducible`): clean ones, and
+//! degraded ones from a run with no budget, whose degradations (a
+//! search-exhausted net, say) recur identically on every run. A
+//! degraded body from a budgeted run reflects the budget that cut it
+//! short, not the request, so replaying it for a future identical
+//! request would be wrong; so does a run the shutdown interrupt cut.
 
 use std::collections::BTreeMap;
 use std::sync::Mutex;

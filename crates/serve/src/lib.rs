@@ -131,9 +131,11 @@ impl Default for ServeConfig {
 /// [`Circuit::validate`](mebl_netlist::Circuit::validate) rejects a net
 /// whose pins all sit on one cell, so a v2 record may hold a 200 for a
 /// circuit that now answers 422, and the key is looked up before the
-/// circuit is validated.
+/// circuit is validated. v4: detailed routing lost its second relaxed
+/// rip-up round, so a v3 record may hold a result in which that round
+/// recovered a net.
 fn store_fingerprint() -> u64 {
-    mebl_store::fnv1a(b"mebl-serve stored-response v3")
+    mebl_store::fnv1a(b"mebl-serve stored-response v4")
 }
 
 /// Encodes a cacheable response for the store: status (u16 LE) ‖ body.

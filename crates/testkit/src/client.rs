@@ -289,11 +289,31 @@ impl FaultWorker {
                 drain_request(&mut stream);
                 let body = br#"{"error":"backpressure","detail":"always busy"}"#;
                 let _ = write_response(&mut stream, 429, "Too Many Requests", body);
+                close_after_reply(&mut stream);
             }
             FaultMode::CorruptJson => {
                 drain_request(&mut stream);
                 let _ = write_response(&mut stream, 200, "OK", b"{\"outcome\": not-json");
+                close_after_reply(&mut stream);
             }
+        }
+    }
+}
+
+/// Ends a scripted reply the way `mebl-serve` ends a refusal: a FIN
+/// after the response, then a bounded drain. Closing the socket with
+/// the request body still unread makes the kernel reset the connection,
+/// which can destroy the reply in flight, so the peer would see a
+/// transport error instead of the scripted status.
+fn close_after_reply(stream: &mut TcpStream) {
+    let _ = stream.shutdown(Shutdown::Write);
+    // Each read waits at most the read timeout `answer` set; the peer
+    // hangs up once it has read the reply.
+    let mut sink = [0u8; 4096];
+    for _ in 0..64 {
+        match stream.read(&mut sink) {
+            Ok(0) | Err(_) => return,
+            Ok(_) => {}
         }
     }
 }

@@ -10,6 +10,11 @@ cd "$(dirname "$0")/.."
 echo "=== build (release, offline) ==="
 cargo build --release --offline --workspace
 
+echo "=== perfbench compiles (its own workspace, outside --workspace) ==="
+# The repository benchmark builds against the public APIs by path; a
+# broken signature must fail here, not first in a benchmark run.
+cargo check --offline --manifest-path perfbench/Cargo.toml
+
 echo "=== test (offline) ==="
 cargo test -q --offline --workspace
 

@@ -22,8 +22,10 @@ pub enum SearchEngine {
     #[default]
     Dial,
     /// The pre-rewrite heap-based A\*, retained as the differential
-    /// oracle for `tests/router_equivalence.rs`. Slower; identical cost
-    /// model up to a constant scale factor.
+    /// oracle for `tests/router_equivalence.rs`: the blocker round's
+    /// soft search with no rippable net, limited to the connection's
+    /// window. Slower; identical cost model up to a constant scale
+    /// factor.
     LegacyHeap,
 }
 

@@ -12,12 +12,43 @@
 //! preserving the ordering of all in-range configurations (the paper's
 //! defaults use single-digit weights). The heuristic unit is clamped
 //! identically, so it stays a consistent lower bound per planar step.
+//!
+//! The same expansion loop runs a *soft* search for the blocker round:
+//! cells a [`Rippable`] admits are passable, and paths are ordered by
+//! (foreign cells entered, eq. (10) cost), so the cheapest soft path
+//! names a minimal set of blocking cells.
 
 use crate::DetailedGrid;
 use mebl_control::CancelToken;
 use mebl_geom::{Coord, Point};
 use mebl_graph::{BucketQueue, FastSet};
 use mebl_stitch::StitchPlan;
+
+/// Soft-search distance of one foreign cell entered. Soft distances
+/// are `blocked << 40 | cost`, so comparing them as integers orders
+/// paths by foreign cells first and eq. (10) cost second, exactly while
+/// the cost part stays below 2^40 (a path of fewer than 2^28 steps at
+/// the [`MAX_STEP_Q`] ceiling) and the count below 2^24.
+const BLOCKED: u64 = 1 << 40;
+
+/// Cells a soft search may enter: those owned by a net flagged in
+/// `nets`, except the cells in `pins`. Every other occupied cell stays
+/// hard.
+pub(crate) struct Rippable<'a> {
+    /// Per net index: whether its cells may be crossed.
+    pub(crate) nets: &'a [bool],
+    /// Cells that stay hard whoever owns them.
+    pub(crate) pins: &'a FastSet<u32>,
+}
+
+impl Rippable<'_> {
+    /// Whether a soft search may enter `cell`, occupied by another net.
+    fn admits(&self, grid: &DetailedGrid, cell: u32) -> bool {
+        grid.occupant(cell)
+            .is_some_and(|owner| self.nets.get(owner as usize) == Some(&true))
+            && !self.pins.contains(&cell)
+    }
+}
 
 /// Per-step cost ceiling in quantized α units. Costs above this clamp
 /// saturate: ordering among saturated steps is lost, but every
@@ -172,8 +203,14 @@ impl GridWindow {
 /// path at the ceiling cost, far outside any real window, and a
 /// saturated search still terminates (distances just stop ordering
 /// beyond the cap).
+///
+/// A soft search keeps its wider distances (see [`BLOCKED`]) in
+/// `soft_dist`, valid where the cell word is discovered this epoch, and
+/// leaves the word's dist bits zero. The array grows on the first soft
+/// search, so solvers that never run one never allocate it.
 pub(crate) struct DialSolver {
     cells: Vec<u64>,
+    soft_dist: Vec<u64>,
     epoch: u32,
     queue: BucketQueue<u64>,
 }
@@ -216,6 +253,7 @@ impl DialSolver {
     pub(crate) fn new(span: u64) -> Self {
         Self {
             cells: Vec::new(),
+            soft_dist: Vec::new(),
             epoch: 0,
             queue: BucketQueue::with_span(span),
         }
@@ -240,10 +278,13 @@ impl DialSolver {
     /// cell of any component in `target_comps`, restricted to the
     /// bounding box of the endpoints plus `margin`.
     ///
-    /// Matches the legacy engine's contract: the returned path includes
-    /// the source cell it grew from and ends at the reached target;
-    /// `None` on exhaustion (window, `node_cap`) or cancellation.
-    /// `sources` must be sorted for deterministic tie-breaking.
+    /// The returned path includes the source cell it grew from and ends
+    /// at the reached target; `None` on exhaustion (window, `node_cap`)
+    /// or cancellation. `sources` must be sorted for deterministic
+    /// tie-breaking.
+    ///
+    /// With `soft`, cells it admits are passable too, and the path
+    /// enters the fewest of them, then costs the least.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn find_path(
         &mut self,
@@ -256,6 +297,34 @@ impl DialSolver {
         margin: Coord,
         node_cap: usize,
         cancel: &CancelToken,
+        soft: Option<&Rippable>,
+    ) -> Option<Vec<u32>> {
+        match soft {
+            None => self.search::<false>(
+                grid, field, net, own_pins, sources, target_comps, margin, node_cap, cancel, None,
+            ),
+            Some(_) => self.search::<true>(
+                grid, field, net, own_pins, sources, target_comps, margin, node_cap, cancel, soft,
+            ),
+        }
+    }
+
+    /// The expansion loop behind [`DialSolver::find_path`]. `SOFT`
+    /// selects the distance store at compile time, so a hard search
+    /// runs the 32-bit cell-word path with no soft branch in it.
+    #[allow(clippy::too_many_arguments)]
+    fn search<const SOFT: bool>(
+        &mut self,
+        grid: &DetailedGrid,
+        field: &CostField,
+        net: u32,
+        own_pins: &FastSet<Point>,
+        sources: &[u32],
+        target_comps: &[FastSet<u32>],
+        margin: Coord,
+        node_cap: usize,
+        cancel: &CancelToken,
+        soft: Option<&Rippable>,
     ) -> Option<Vec<u32>> {
         if sources.is_empty() || target_comps.iter().all(FastSet::is_empty) {
             return None;
@@ -266,6 +335,9 @@ impl DialSolver {
         let layers = u32::from(grid.layers());
         let (ox, oy) = (grid.outline().x0(), grid.outline().y0());
         self.begin(grid.cell_count());
+        if SOFT && self.soft_dist.len() < grid.cell_count() {
+            self.soft_dist.resize(grid.cell_count(), 0);
+        }
 
         let tag = u64::from(self.epoch) << TAG_SHIFT;
         // Cold-path decomposition for endpoint setup; the pop loop
@@ -340,6 +412,9 @@ impl DialSolver {
         for &s in sources {
             // Components are disjoint, so a source is never a target.
             self.cells[s as usize] = tag | (DIR_SOURCE << DIR_SHIFT) | DISCOVERED;
+            if SOFT {
+                self.soft_dist[s as usize] = 0;
+            }
             let (x, y, l) = local(s);
             self.queue.push(h(x, y), pack(x, y, l));
         }
@@ -361,7 +436,13 @@ impl DialSolver {
             if m & TARGET != 0 {
                 return Some(self.reconstruct(u, w, wh));
             }
-            let du = (m >> DIST_SHIFT) as u32;
+            // Hard distances live in the cell word; soft ones in their
+            // own array (see `BLOCKED`).
+            let du = if SOFT {
+                self.soft_dist[ui]
+            } else {
+                (m >> DIST_SHIFT) & u64::from(u32::MAX)
+            };
             expanded += 1;
             if expanded > node_cap {
                 return None;
@@ -382,7 +463,7 @@ impl DialSolver {
             // neighbour coordinates are one add on the packed word.
             // Hard constraints (no riding a stitching line vertically;
             // vias on a line only at own pins) are keyed on the source
-            // cell, exactly like the legacy engine. Vias are queued
+            // cell, in soft searches too. Vias are queued
             // *before* planar moves: the bucket queue pops LIFO among
             // equal keys, so equal-cost ties continue in-plane rather
             // than hop layers first.
@@ -421,28 +502,40 @@ impl DialSolver {
             }
             for &(v, q, step, dir) in &cand[..nc] {
                 let vi = v as usize;
-                if !grid.passable(v, net) {
+                let foreign = !grid.passable(v, net);
+                if foreign && !(SOFT && soft.is_some_and(|r| r.admits(grid, v))) {
                     continue;
                 }
-                let nd = du.saturating_add(step);
                 let cv = self.cells[vi];
                 // Flags survive only under the current epoch tag; a
                 // stale word means "untouched, keep the target bit off".
                 let flags = if cv & TAG_MASK == tag { cv & FLAGS_MASK } else { 0 };
-                if flags & DISCOVERED == 0 || nd < (cv >> DIST_SHIFT) as u32 {
-                    self.cells[vi] = tag
-                        | u64::from(nd) << DIST_SHIFT
-                        | dir << DIR_SHIFT
-                        | flags
-                        | DISCOVERED;
-                    let hq = if dir >= 4 {
-                        hxy
-                    } else {
-                        let (qx, qy, _) = unpack(q);
-                        h(qx, qy)
-                    };
-                    self.queue.push(u64::from(nd) + hq, q);
-                }
+                let discovered = flags & DISCOVERED != 0;
+                // Hard distances saturate at 32 bits; soft ones add
+                // `BLOCKED` per foreign cell entered.
+                let nd = if SOFT {
+                    let nd = du.saturating_add(u64::from(step) + if foreign { BLOCKED } else { 0 });
+                    if discovered && nd >= self.soft_dist[vi] {
+                        continue;
+                    }
+                    self.soft_dist[vi] = nd;
+                    nd
+                } else {
+                    let nd = (du + u64::from(step)).min(u64::from(u32::MAX));
+                    if discovered && nd >= (cv >> DIST_SHIFT) & u64::from(u32::MAX) {
+                        continue;
+                    }
+                    nd
+                };
+                let word_dist = if SOFT { 0 } else { nd << DIST_SHIFT };
+                self.cells[vi] = tag | word_dist | dir << DIR_SHIFT | flags | DISCOVERED;
+                let hq = if dir >= 4 {
+                    hxy
+                } else {
+                    let (qx, qy, _) = unpack(q);
+                    h(qx, qy)
+                };
+                self.queue.push(nd.saturating_add(hq), q);
             }
         }
         None
@@ -517,6 +610,7 @@ mod tests {
                 18,
                 60_000,
                 &CancelToken::default(),
+                None,
             )
             .expect("path");
         assert_eq!(path.first(), Some(&src));
@@ -532,13 +626,13 @@ mod tests {
         let a = grid.node(GridPoint::new(1, 1, Layer::new(0)));
         let b = grid.node(GridPoint::new(6, 1, Layer::new(0)));
         let first = solver
-            .find_path(&grid, &field, 0, &FastSet::default(), &[a], &comps(&[b]), 18, 60_000, &CancelToken::default())
+            .find_path(&grid, &field, 0, &FastSet::default(), &[a], &comps(&[b]), 18, 60_000, &CancelToken::default(), None)
             .expect("first path");
         // Occupy a cell of the first path for a foreign net: the second
         // search (same solver, new epoch) must route around it.
         grid.occupy(first[3], 9);
         let second = solver
-            .find_path(&grid, &field, 0, &FastSet::default(), &[a], &comps(&[b]), 18, 60_000, &CancelToken::default())
+            .find_path(&grid, &field, 0, &FastSet::default(), &[a], &comps(&[b]), 18, 60_000, &CancelToken::default(), None)
             .expect("second path");
         assert!(!second.contains(&first[3]), "stale state leaked across epochs");
     }
@@ -560,6 +654,7 @@ mod tests {
             18,
             1,
             &CancelToken::default(),
+            None,
         );
         assert!(found.is_none());
     }
@@ -589,7 +684,155 @@ mod tests {
             0,
             60_000,
             &CancelToken::default(),
+            None,
         );
         assert!(narrow.is_none(), "wall spans the entire zero-margin window");
+    }
+
+    /// Occupies column `x` on every layer for the rows in `ys`.
+    fn wall(grid: &mut DetailedGrid, x: Coord, ys: impl IntoIterator<Item = Coord>, owner: u32) {
+        for y in ys {
+            for l in 0..grid.layers() {
+                let cell = grid.node(GridPoint::new(x, y, Layer::new(l)));
+                grid.occupy(cell, owner);
+            }
+        }
+    }
+
+    /// A whole-grid soft search for net 0 from `src` to `dst` that may
+    /// cross net 7's cells, except `pins`; net 0 owns pins at `own_pins`.
+    fn soft_path_with_pins(
+        grid: &DetailedGrid,
+        field: &CostField,
+        src: u32,
+        dst: u32,
+        pins: &FastSet<u32>,
+        own_pins: &FastSet<Point>,
+    ) -> Option<Vec<u32>> {
+        let mut nets = [false; 10];
+        nets[7] = true;
+        let soft = Rippable { nets: &nets, pins };
+        DialSolver::new(field.span).find_path(
+            grid,
+            field,
+            0,
+            own_pins,
+            &[src],
+            &comps(&[dst]),
+            40,
+            1 << 20,
+            &CancelToken::default(),
+            Some(&soft),
+        )
+    }
+
+    fn soft_path(
+        grid: &DetailedGrid,
+        field: &CostField,
+        src: u32,
+        dst: u32,
+        pins: &FastSet<u32>,
+    ) -> Option<Vec<u32>> {
+        soft_path_with_pins(grid, field, src, dst, pins, &FastSet::default())
+    }
+
+    fn foreign_cells(grid: &DetailedGrid, path: &[u32]) -> usize {
+        path.iter().filter(|&&c| grid.occupant(c).is_some_and(|o| o != 0)).count()
+    }
+
+    #[test]
+    fn soft_search_takes_any_free_detour_over_one_foreign_cell() {
+        let (mut grid, plan) = setup();
+        let field = field_for(&grid, &plan);
+        let top = grid.height() as Coord - 1;
+        // Net 7 walls column 8 on every layer but the top row.
+        wall(&mut grid, 8, 0..top, 7);
+        let src = grid.node(GridPoint::new(4, 2, Layer::new(0)));
+        let dst = grid.node(GridPoint::new(12, 2, Layer::new(0)));
+        let detour = soft_path(&grid, &field, src, dst, &FastSet::default()).expect("detour");
+        assert_eq!(foreign_cells(&grid, &detour), 0);
+        assert!(detour.iter().any(|&c| grid.point(c).y == top), "detour via the top row");
+        assert!(detour.len() > 50);
+        // Close the gap: now the path crosses exactly one cell of net 7.
+        wall(&mut grid, 8, [top], 7);
+        let through = soft_path(&grid, &field, src, dst, &FastSet::default()).expect("crossing");
+        assert_eq!(foreign_cells(&grid, &through), 1);
+    }
+
+    #[test]
+    fn soft_search_takes_the_cheapest_path_among_equal_foreign_counts() {
+        let (mut grid, plan) = setup();
+        let field = field_for(&grid, &plan);
+        let rows = 0..grid.height() as Coord;
+        // Two full walls: every path crosses both, once each, at best.
+        wall(&mut grid, 6, rows.clone(), 7);
+        wall(&mut grid, 10, rows, 7);
+        let src = grid.node(GridPoint::new(4, 2, Layer::new(0)));
+        let dst = grid.node(GridPoint::new(12, 2, Layer::new(0)));
+        let path = soft_path(&grid, &field, src, dst, &FastSet::default()).expect("path");
+        assert_eq!(foreign_cells(&grid, &path), 2);
+        let straight: Vec<u32> = (4..=12)
+            .map(|x| grid.node(GridPoint::new(x, 2, Layer::new(0))))
+            .collect();
+        assert_eq!(path, straight, "the cheapest two-crossing path is the straight run");
+    }
+
+    #[test]
+    fn pins_and_unrippable_nets_stay_hard_in_soft_search() {
+        let (mut grid, plan) = setup();
+        let field = field_for(&grid, &plan);
+        let rows = 0..grid.height() as Coord;
+        let src = grid.node(GridPoint::new(4, 2, Layer::new(0)));
+        let dst = grid.node(GridPoint::new(12, 2, Layer::new(0)));
+        // A wall of net 9, which is not rippable.
+        wall(&mut grid, 8, rows.clone(), 9);
+        assert!(soft_path(&grid, &field, src, dst, &FastSet::default()).is_none());
+        // The same wall owned by rippable net 7, every cell a pin.
+        wall(&mut grid, 8, rows, 7);
+        let mut pins: FastSet<u32> = (0..grid.cell_count() as u32)
+            .filter(|&c| grid.occupant(c) == Some(7))
+            .collect();
+        assert!(soft_path(&grid, &field, src, dst, &pins).is_none());
+        // One cell that is not a pin is the only way through.
+        let door = grid.node(GridPoint::new(8, 20, Layer::new(0)));
+        pins.remove(&door);
+        let path = soft_path(&grid, &field, src, dst, &pins).expect("through the door");
+        assert_eq!(foreign_cells(&grid, &path), 1);
+        assert!(path.contains(&door));
+    }
+
+    #[test]
+    fn stitch_hard_rules_hold_in_soft_search() {
+        let (mut grid, plan) = setup();
+        let field = field_for(&grid, &plan);
+        assert!(plan.is_on_line(15));
+        // Net 7 fills the columns beside the line, so every free path
+        // below breaks a hard rule on the line.
+        let rows = 0..grid.height() as Coord;
+        wall(&mut grid, 14, rows.clone(), 7);
+        wall(&mut grid, 16, rows, 7);
+        let at = |x: Coord, y: Coord, l: u8| grid.node(GridPoint::new(x, y, Layer::new(l)));
+        let check = |path: &[u32], own_pins: &FastSet<Point>| {
+            for step in path.windows(2) {
+                let (a, b) = (grid.point(step[0]), grid.point(step[1]));
+                if plan.is_on_line(a.x) {
+                    assert_eq!(a.y, b.y, "rode the stitching line at {a:?}");
+                    assert!(
+                        a.layer == b.layer || own_pins.contains(&a.point()),
+                        "via on the stitching line off the net's pins at {a:?}"
+                    );
+                }
+            }
+            assert!(foreign_cells(&grid, path) >= 2, "left the line through net 7");
+        };
+        // Straight up the via stack: vias on the line need a pin there.
+        let none = FastSet::default();
+        let up = soft_path(&grid, &field, at(15, 2, 0), at(15, 2, 2), &none).expect("up");
+        check(&up, &FastSet::default());
+        // Pins at both ends allow their vias, never a ride along the line.
+        let pins: FastSet<Point> = [Point::new(15, 2), Point::new(15, 20)].into_iter().collect();
+        let along = soft_path_with_pins(&grid, &field, at(15, 2, 0), at(15, 20, 0), &none, &pins)
+            .expect("along");
+        check(&along, &pins);
     }
 }

@@ -32,7 +32,5 @@ mod seeds;
 
 pub use dense::GridWindow;
 pub use grid::DetailedGrid;
-pub use router::{
-    route_detailed, route_incremental, DetailedConfig, DetailedResult, SearchEngine, BLOCKAGE_NET,
-};
+pub use router::{route_detailed, route_incremental, DetailedConfig, DetailedResult, BLOCKAGE_NET};
 pub use seeds::realize_seeds;

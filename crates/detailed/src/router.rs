@@ -1,10 +1,10 @@
 //! Detailed routing: seeding, ordering, dense-grid search, pruning.
 
-use crate::dense::{CostField, DialSolver};
+use crate::dense::{CostField, DialSolver, Rippable};
 use crate::{realize_seeds, DetailedGrid};
 use mebl_assign::TrackResult;
 use mebl_control::{CancelToken, Degradation, DegradationKind, Stage};
-use mebl_geom::{Coord, GridPoint, Point, Rect, RouteGeometry, Segment, Via};
+use mebl_geom::{Coord, GridPoint, Point, RouteGeometry, Segment, Via};
 use mebl_global::TileGraph;
 use mebl_netlist::Circuit;
 use mebl_graph::{FastMap, FastSet, UnionFind};
@@ -12,22 +12,6 @@ use mebl_par::Pool;
 use mebl_stitch::StitchPlan;
 use std::cmp::Reverse;
 use std::collections::hash_map::Entry;
-
-/// Which shortest-path engine connects net components.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SearchEngine {
-    /// Dense-grid Dial search: flat arrays, precomputed per-column cost
-    /// layers, an integer bucket queue, and solver state reused across
-    /// nets. The production hot path.
-    #[default]
-    Dial,
-    /// The pre-rewrite heap-based A\*, retained as the differential
-    /// oracle for `tests/router_equivalence.rs`: the blocker round's
-    /// soft search with no rippable net, limited to the connection's
-    /// window. Slower; identical cost model up to a constant scale
-    /// factor.
-    LegacyHeap,
-}
 
 /// Configuration of stitch-aware detailed routing.
 ///
@@ -55,9 +39,6 @@ pub struct DetailedConfig {
     pub node_cap: usize,
     /// Window-growth retries before a connection is declared failed.
     pub retries: usize,
-    /// Shortest-path engine; [`SearchEngine::Dial`] unless a test pits
-    /// the engines against each other.
-    pub engine: SearchEngine,
     /// Cooperative cancellation/budget handle. Inert by default; when
     /// armed, searches abort mid-expansion (the aborted net is ripped
     /// up like any failed net) and remaining nets/rip-up rounds are
@@ -82,7 +63,6 @@ impl Default for DetailedConfig {
             margin: 8,
             node_cap: 60_000,
             retries: 3,
-            engine: SearchEngine::Dial,
             cancel: CancelToken::default(),
             pool: Pool::serial(),
         }
@@ -381,9 +361,7 @@ fn route_targets(
         targets.iter().copied().filter(|&i| !result.routed[i]).collect()
     };
 
-    route_pass(
-        plan, &field, config, targets, grid, &mut solver, pin_cells, seeds, result,
-    );
+    route_pass(&field, config, targets, grid, &mut solver, pin_cells, seeds, result);
 
     // Failed-net rip-up/reroute — the second bottom-up pass of the
     // framework (Fig. 6): all failed nets' resources are free now, so
@@ -408,24 +386,21 @@ fn route_targets(
                 margin: config.margin.checked_shl(1).unwrap_or(Coord::MAX),
                 ..config.clone()
             };
-            route_pass(
-                plan, &field, &relaxed, &retry, grid, &mut solver, pin_cells, &[], result,
-            );
+            route_pass(&field, &relaxed, &retry, grid, &mut solver, pin_cells, &[], result);
         }
     }
 
     // Final blocker rip-up: a net still failed here survived a complete
     // search of its fully widened window, so it is walled in by routed
     // nets and no further widening can help. One serial round (identical
-    // at every worker count by construction): price other nets' cells
-    // instead of forbidding them, rip up the blockers along the cheapest
-    // soft path, route the walled-in net through the freed corridor,
-    // then reroute the ripped nets around it. Nets still unrouted
-    // afterwards fall through to the degradation records below.
+    // at every worker count by construction): let every connection of
+    // the net cross other target nets' cells, fewest first, rip up the
+    // nets on those soft paths, route the walled-in net through the
+    // freed corridors, then reroute the ripped nets around it. Nets
+    // still unrouted afterwards fall through to the degradation records
+    // below.
     if !failed(result).is_empty() && !config.cancel.is_cancelled_now() {
-        blocker_ripup_round(
-            circuit, plan, &field, config, grid, &mut solver, pin_cells, targets, result,
-        );
+        blocker_ripup_round(circuit, &field, config, grid, &mut solver, pin_cells, targets, result);
     }
 
     // Surface window-widening exhaustion: every target still unrouted
@@ -534,7 +509,6 @@ struct NetAttempt {
 /// pool runs the fan-out inline over one clone).
 #[allow(clippy::too_many_arguments)]
 fn route_pass(
-    plan: &StitchPlan,
     field: &CostField,
     config: &DetailedConfig,
     order: &[usize],
@@ -565,9 +539,8 @@ fn route_pass(
             |ctx, _, &net| {
                 let (local, scratch) = ctx;
                 let mut log = ChangeLog::default();
-                let (routed, geometry) = route_one_net(
-                    plan, field, config, net, local, scratch, &mut log, pin_cells, seeds,
-                );
+                let (routed, geometry) =
+                    route_one_net(field, config, net, local, scratch, &mut log, pin_cells, seeds);
                 let delta = log.delta(local);
                 log.rollback(local);
                 NetAttempt {
@@ -596,9 +569,8 @@ fn route_pass(
                 // A batch peer won the race for shared cells: re-route
                 // this net inline against the live grid, keeping changes.
                 let mut log = ChangeLog::default();
-                let (routed, geometry) = route_one_net(
-                    plan, field, config, net, grid, solver, &mut log, pin_cells, seeds,
-                );
+                let (routed, geometry) =
+                    route_one_net(field, config, net, grid, solver, &mut log, pin_cells, seeds);
                 if routed {
                     result.publish(net, geometry);
                 }
@@ -619,7 +591,6 @@ fn route_pass(
 /// Returns whether the net was fully connected and its geometry.
 #[allow(clippy::too_many_arguments)]
 fn route_one_net(
-    plan: &StitchPlan,
     field: &CostField,
     config: &DetailedConfig,
     net: usize,
@@ -638,12 +609,12 @@ fn route_one_net(
         grid,
         solver,
         log,
-        plan,
         field,
         config,
         net as u32,
         &own_pins,
         &mut components,
+        None,
     );
     if !ok && !net_seeds.is_empty() {
         // Failed-net rip-up/reroute (second bottom-up pass of the
@@ -655,12 +626,12 @@ fn route_one_net(
             grid,
             solver,
             log,
-            plan,
             field,
             config,
             net as u32,
             &own_pins,
             &mut components,
+            None,
         );
     }
     // `ok` implies exactly one component remains.
@@ -775,31 +746,33 @@ fn take_smallest(components: &mut Vec<FastSet<u32>>) -> FastSet<u32> {
     components.swap_remove(smallest)
 }
 
-/// Connects all components of a net; `true` on success (exactly one
-/// component remains, left at the back of `components`).
+/// Connects all components of a net, smallest first; `true` on success
+/// (exactly one component remains, left at the back of `components`).
+///
+/// A `soft` search may cross the cells it admits and occupies nothing:
+/// each path only joins the component it reached, so the final
+/// component holds every cell the soft connections cross.
 #[allow(clippy::too_many_arguments)]
 fn connect_components(
     grid: &mut DetailedGrid,
     solver: &mut DialSolver,
     log: &mut ChangeLog,
-    plan: &StitchPlan,
     field: &CostField,
     config: &DetailedConfig,
     net: u32,
     own_pins: &FastSet<Point>,
     components: &mut Vec<FastSet<u32>>,
+    soft: Option<&Rippable>,
 ) -> bool {
     while components.len() > 1 {
         let source = take_smallest(components);
         // Sorted source order keeps tie-breaking (and thus paths)
-        // deterministic despite set iteration order. The Dial solver
-        // takes the remaining components as targets directly (it marks
-        // them in its own stamp array and keeps one heuristic box per
-        // component); only the heap oracle needs a flattened set.
+        // deterministic despite set iteration order. The solver takes
+        // the remaining components as targets directly (it marks them
+        // in its own stamp array and keeps one heuristic box per
+        // component).
         let mut src_nodes: Vec<u32> = source.iter().copied().collect();
         src_nodes.sort_unstable();
-        let heap_targets: Option<FastSet<u32>> = (config.engine == SearchEngine::LegacyHeap)
-            .then(|| components.iter().flatten().copied().collect());
 
         let mut found = None;
         for attempt in 0..=config.retries {
@@ -814,16 +787,10 @@ fn connect_components(
                 .margin
                 .checked_shl(attempt as u32)
                 .unwrap_or(Coord::MAX);
-            let path = match &heap_targets {
-                None => solver.find_path(
-                    grid, field, net, own_pins, &src_nodes, components, margin, node_cap,
-                    &config.cancel,
-                ),
-                Some(targets) => heap_astar(
-                    grid, plan, config, net, own_pins, &src_nodes, targets, margin, node_cap,
-                    &[], &FastSet::default(),
-                ),
-            };
+            let path = solver.find_path(
+                grid, field, net, own_pins, &src_nodes, components, margin, node_cap,
+                &config.cancel, soft,
+            );
             if let Some(p) = path {
                 found = Some(p);
                 break;
@@ -846,8 +813,10 @@ fn connect_components(
             components.push(source);
             return false;
         };
-        for &cell in &path {
-            log.occupy(grid, cell, net);
+        if soft.is_none() {
+            for &cell in &path {
+                log.occupy(grid, cell, net);
+            }
         }
         let Some(dst_idx) = components.iter().position(|c| c.contains(&reached)) else {
             // The path must end in a target component; treat a breach as a
@@ -870,143 +839,6 @@ fn connect_components(
     true
 }
 
-/// Soft-search cost for entering a cell owned by a rippable net: far
-/// above any realistic hard-path cost, so the search minimises the
-/// number of blocking cells first and ordinary wire cost second.
-const BLOCK_PENALTY: u64 = 1 << 32;
-
-/// Windowed stitch-aware A\* (eq. 10) on the generic heap-based search
-/// in `mebl-graph`, from `sources` to any cell of `targets`, within the
-/// bounding box of both grown by `margin`. A cell owned by a
-/// `rippable` net is passable at [`BLOCK_PENALTY`] unless it is one of
-/// `hard_pins`, so the cheapest path names a minimal corridor of
-/// blockers; every cell of any other net is hard. With nothing
-/// rippable this is the [`SearchEngine::LegacyHeap`] oracle for the
-/// differential harness: its cost model is the Dial solver's scaled by
-/// a constant factor, so both engines rank paths identically up to
-/// tie-breaking. Returns the path including the source cell it grew
-/// from and the reached target.
-#[allow(clippy::too_many_arguments)]
-fn heap_astar(
-    grid: &DetailedGrid,
-    plan: &StitchPlan,
-    config: &DetailedConfig,
-    net: u32,
-    own_pins: &FastSet<Point>,
-    sources: &[u32],
-    targets: &FastSet<u32>,
-    margin: Coord,
-    node_cap: usize,
-    rippable: &[bool],
-    hard_pins: &FastSet<u32>,
-) -> Option<Vec<u32>> {
-    /// Historic cost scale: one α unit = 10 cost points.
-    const UNIT: u64 = 10;
-    /// Virtual start node fanning out to every source at zero cost.
-    const START: u32 = u32::MAX;
-
-    // Search window: bbox of endpoints plus margin.
-    let window = Rect::bounding(
-        sources
-            .iter()
-            .chain(targets.iter())
-            .map(|&c| grid.point(c).point()),
-    )?
-    .expand(margin)
-    .intersect(grid.outline())?;
-    // Target bbox for the admissible multi-target heuristic.
-    let tbox = Rect::bounding(targets.iter().map(|&c| grid.point(c).point()))?;
-    let h = |p: GridPoint| -> u64 {
-        let dx = if p.x < tbox.x0() {
-            tbox.x0() - p.x
-        } else if p.x > tbox.x1() {
-            p.x - tbox.x1()
-        } else {
-            0
-        };
-        let dy = if p.y < tbox.y0() {
-            tbox.y0() - p.y
-        } else if p.y > tbox.y1() {
-            p.y - tbox.y1()
-        } else {
-            0
-        };
-        ((dx + dy) as u64).saturating_mul(UNIT).saturating_mul(config.alpha)
-    };
-
-    let soft = |owner: u32| rippable.get(owner as usize) == Some(&true);
-
-    // `sources` arrives sorted from the caller.
-    let mut expanded = 0usize;
-    let mut aborted = false;
-    let found = mebl_graph::astar(
-        START,
-        |&u: &u32| -> Vec<(u32, u64)> {
-            if u == START {
-                return sources.iter().map(|&s| (s, 0)).collect();
-            }
-            expanded += 1;
-            // Charge the run budget and honour cancellation mid-search:
-            // an aborted search rips the net up like any failed
-            // connection, so partial geometry never leaks out.
-            if expanded > node_cap || config.cancel.charge_expansions(1) {
-                aborted = true;
-                return Vec::new();
-            }
-            let pu = grid.point(u);
-            let mut out = Vec::with_capacity(4);
-            for q in grid.moves(pu) {
-                if !window.contains(q.point()) {
-                    continue;
-                }
-                let v = grid.node(q);
-                let blocked = !grid.passable(v, net);
-                if blocked && (hard_pins.contains(&v) || !grid.occupant(v).is_some_and(soft)) {
-                    continue;
-                }
-                let z_move = q.layer != pu.layer;
-                let y_move = q.y != pu.y;
-                // Hard constraints: never ride a stitching line
-                // vertically; z-moves on a line only at the net's pins.
-                if plan.is_on_line(pu.x) {
-                    if y_move {
-                        continue;
-                    }
-                    if z_move && !own_pins.contains(&pu.point()) {
-                        continue;
-                    }
-                }
-                let mut step = if z_move {
-                    UNIT.saturating_mul(config.alpha).saturating_mul(config.via_cost)
-                } else {
-                    UNIT.saturating_mul(config.alpha)
-                };
-                if config.stitch_costs {
-                    if z_move && plan.in_unfriendly_region(q.x) {
-                        step = step.saturating_add(UNIT.saturating_mul(config.beta));
-                    }
-                    if !z_move && plan.in_escape_region(q.x) {
-                        step = step.saturating_add(UNIT.saturating_mul(config.gamma));
-                    }
-                }
-                if blocked {
-                    step = step.saturating_add(BLOCK_PENALTY);
-                }
-                out.push((v, step));
-            }
-            out
-        },
-        |&u| if u == START { 0 } else { h(grid.point(u)) },
-        |&u| u != START && targets.contains(&u),
-    );
-    if aborted {
-        return None;
-    }
-    let (mut path, _) = found?;
-    path.retain(|&c| c != START);
-    Some(path)
-}
-
 /// One rip-up/reroute round for walled-in nets (see the call site in
 /// `route_targets`). Serial on the master grid in deterministic net
 /// order, so the outcome never depends on the worker count.
@@ -1020,7 +852,6 @@ fn heap_astar(
 #[allow(clippy::too_many_arguments)]
 fn blocker_ripup_round(
     circuit: &Circuit,
-    plan: &StitchPlan,
     field: &CostField,
     config: &DetailedConfig,
     grid: &mut DetailedGrid,
@@ -1035,6 +866,10 @@ fn blocker_ripup_round(
     for &i in candidates {
         rippable[i] = true;
     }
+    let soft = Rippable {
+        nets: &rippable,
+        pins: &all_pins,
+    };
     // The soft search and the recovery attempts get the expansion budget
     // one widening step past the retry ladder's last rung — still
     // proportional to the configured cap, so starved runs stay starved.
@@ -1066,23 +901,33 @@ fn blocker_ripup_round(
         let own_pins = pin_points(grid, &pin_cells[net]);
         let mut ripped: Vec<usize> = Vec::new();
         for _ in 0..4 {
-            // Current components: the net's pins (failed nets own
-            // nothing else), merged where they already touch.
+            // Soft-connect every component of the net: its pins (failed
+            // nets own nothing else), merged where they already touch.
+            // Nothing is occupied, so the one component left is the pins
+            // plus every cell the soft paths cross, and the blockers are
+            // the rippable nets owning any of them. A connection with no
+            // soft path rips nothing.
             let mut components = components_of(grid, &pin_cells[net], &[]);
             if components.len() <= 1 {
                 break;
             }
-            let mut src_nodes: Vec<u32> = take_smallest(&mut components).into_iter().collect();
-            src_nodes.sort_unstable();
-            let targets: FastSet<u32> = components.iter().flatten().copied().collect();
-            let Some(path) = heap_astar(
-                grid, plan, config, net as u32, &own_pins, &src_nodes, &targets, full_margin,
-                cap, &rippable, &all_pins,
-            ) else {
+            let joined = connect_components(
+                grid,
+                solver,
+                &mut ChangeLog::default(),
+                field,
+                &relaxed,
+                net as u32,
+                &own_pins,
+                &mut components,
+                Some(&soft),
+            );
+            if !joined {
                 break;
-            };
-            let mut blockers: Vec<usize> = path
+            }
+            let mut blockers: Vec<usize> = components
                 .iter()
+                .flatten()
                 .filter_map(|&c| grid.occupant(c))
                 .map(|o| o as usize)
                 .filter(|&o| o != net && rippable.get(o) == Some(&true))
@@ -1094,9 +939,8 @@ fn blocker_ripup_round(
                 ripped.push(b);
             }
             let mut log = ChangeLog::default();
-            let (ok, geometry) = route_one_net(
-                plan, field, &relaxed, net, grid, solver, &mut log, pin_cells, &[],
-            );
+            let (ok, geometry) =
+                route_one_net(field, &relaxed, net, grid, solver, &mut log, pin_cells, &[]);
             if ok {
                 result.publish(net, geometry);
                 break;
@@ -1115,9 +959,8 @@ fn blocker_ripup_round(
                 continue;
             }
             let mut log = ChangeLog::default();
-            let (ok, geometry) = route_one_net(
-                plan, field, config, b, grid, solver, &mut log, pin_cells, &[],
-            );
+            let (ok, geometry) =
+                route_one_net(field, config, b, grid, solver, &mut log, pin_cells, &[]);
             if ok {
                 result.publish(b, geometry);
             }
@@ -1227,7 +1070,7 @@ fn extract_geometry(grid: &DetailedGrid, cells: &FastSet<u32>) -> RouteGeometry 
 mod tests {
     use super::*;
     use mebl_assign::{assign_tracks, extract_panels, TrackConfig};
-    use mebl_geom::Layer;
+    use mebl_geom::{Layer, Rect};
     use mebl_netlist::{Net, Pin};
     use mebl_stitch::StitchConfig;
     use std::collections::{HashMap, HashSet};
@@ -1427,49 +1270,6 @@ mod tests {
     }
 
     #[test]
-    fn legacy_engine_routes_and_stays_hard_clean() {
-        let (c, plan, res) = route(
-            vec![
-                Net::new("a", vec![pin(2, 2), pin(40, 40)]),
-                Net::new("b", vec![pin(5, 60), pin(60, 5)]),
-            ],
-            &DetailedConfig {
-                engine: SearchEngine::LegacyHeap,
-                ..DetailedConfig::default()
-            },
-        );
-        assert_eq!(res.routed_count, 2);
-        for i in 0..2 {
-            assert_connected(&c, i, &res.geometry[i]);
-            let pins: HashSet<Point> = c.nets()[i].pins().iter().map(|p| p.position).collect();
-            let v = mebl_stitch::check_geometry(&plan, &res.geometry[i], |p| pins.contains(&p));
-            assert!(v.hard_clean(), "net {i}: {v:?}");
-        }
-    }
-
-    #[test]
-    fn engines_route_the_same_nets_on_a_small_case() {
-        let nets: Vec<Net> = (0..6)
-            .map(|i| {
-                Net::new(
-                    format!("n{i}"),
-                    vec![pin(4 + i * 5, 8 + i * 7), pin(60 - i * 4, 75 - i * 9)],
-                )
-            })
-            .collect();
-        let (_, _, dial) = route(nets.clone(), &DetailedConfig::default());
-        let (_, _, legacy) = route(
-            nets,
-            &DetailedConfig {
-                engine: SearchEngine::LegacyHeap,
-                ..DetailedConfig::default()
-            },
-        );
-        assert_eq!(dial.routed_count, legacy.routed_count);
-        assert_eq!(dial.routed, legacy.routed);
-    }
-
-    #[test]
     fn blockages_are_avoided() {
         let outline = Rect::new(0, 0, 89, 89);
         let plan = StitchPlan::new(outline, StitchConfig::default());
@@ -1605,6 +1405,68 @@ mod tests {
         assert_connected(&c, 3, &out.geometry[3]);
         assert!(!out.routed[2]);
         assert_eq!(out.routed_count, 3);
+        let exhausted: Vec<Option<usize>> = config
+            .cancel
+            .take_degradations()
+            .into_iter()
+            .filter(|d| d.kind == DegradationKind::SearchExhausted)
+            .map(|d| d.net)
+            .collect();
+        assert_eq!(exhausted, vec![Some(2)]);
+    }
+
+    #[test]
+    fn blocker_round_recovers_a_walled_in_later_connection() {
+        let outline = Rect::new(0, 0, 29, 29);
+        let plan = StitchPlan::new(outline, StitchConfig::default());
+        let at = |x: Coord, y: Coord, l: u8| Pin::new(Point::new(x, y), Layer::new(l));
+        // Preserved walls seal row y = 15 on both layers but for the gap
+        // at x = 10 (see `blocker_round_rips_targets_but_never_preserved_geometry`).
+        let wall = |x0: Coord, x1: Coord| {
+            let mut g = RouteGeometry::new();
+            g.push_segment(Segment::horizontal(Layer::new(0), 15, x0, x1));
+            for x in (x0..=x1).filter(|&x| !plan.is_on_line(x)) {
+                g.push_via(Via::new(x, 15, Layer::new(0)));
+            }
+            g
+        };
+        let walls = [wall(0, 9), wall(11, 29)];
+        let c = Circuit::new(
+            "pocket",
+            outline,
+            2,
+            vec![
+                Net::new("wall_w", vec![at(0, 15, 0), at(9, 15, 0)]),
+                Net::new("wall_e", vec![at(11, 15, 0), at(29, 15, 0)]),
+                // Routes first and plugs the gap, sealing the upper half.
+                Net::new("plug", vec![at(10, 13, 1), at(10, 17, 1)]),
+                // Its first connection (pin 0 to pin 1) is free below the
+                // row; only the second, to pin 2 above it, is walled in.
+                Net::new("three", vec![at(3, 5, 0), at(25, 3, 0), at(20, 25, 0)]),
+            ],
+        );
+        let preserved = vec![
+            Some((true, walls[0].clone())),
+            Some((true, walls[1].clone())),
+            None,
+            None,
+        ];
+        let config = DetailedConfig {
+            cancel: CancelToken::armed(None, None),
+            ..DetailedConfig::default()
+        };
+        let out = route_incremental(&c, &plan, &config, preserved);
+
+        assert_eq!(out.geometry[..2], walls);
+        // Soft-connecting every component names `plug` as the blocker of
+        // the second connection: it is ripped, `three` routes through the
+        // gap, and `plug` has no way back.
+        assert!(out.routed[3], "the walled-in three-pin net was dropped");
+        assert_connected(&c, 3, &out.geometry[3]);
+        let pins: HashSet<Point> = c.nets()[3].pins().iter().map(|p| p.position).collect();
+        let v = mebl_stitch::check_geometry(&plan, &out.geometry[3], |p| pins.contains(&p));
+        assert!(v.hard_clean(), "{v:?}");
+        assert!(!out.routed[2]);
         let exhausted: Vec<Option<usize>> = config
             .cancel
             .take_degradations()

@@ -16,16 +16,19 @@
 //!   colouring of the selected subset.
 //! * [`longest_paths`] — DAG longest paths for the track-assignment
 //!   constraint graphs.
-//! * [`astar`] — generic A\* over implicit graphs.
 //! * [`BucketQueue`] — Dial's monotone integer priority queue, the
-//!   dense-grid detailed router's replacement for a binary heap.
+//!   frontier of every detailed-routing search, hard and soft. Its
+//!   overflow list parks keys far past the ring, such as each new
+//!   foreign-cell level of a soft search.
 //! * [`FxHasher`] with the [`FastMap`]/[`FastSet`] aliases —
 //!   fixed-seed multiplicative hashing for hot-path integer keys.
+//!
+//! The grid path searches themselves live with their cost models, in
+//! `mebl-detailed` and `mebl-global`; this crate has no generic A\*.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod astar;
 mod bucket;
 mod dag;
 mod fx;
@@ -35,7 +38,6 @@ mod mcmf;
 mod spanning;
 mod unionfind;
 
-pub use astar::astar;
 pub use bucket::BucketQueue;
 pub use dag::longest_paths;
 pub use fx::{FastMap, FastSet, FxHasher};

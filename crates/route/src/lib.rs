@@ -45,7 +45,6 @@ pub use report::{RouteReport, Stopwatch};
 
 use mebl_assign::{assign_tracks, extract_panels, TrackConfig, TrackResult};
 use mebl_detailed::{route_detailed, DetailedConfig, DetailedResult};
-pub use mebl_detailed::SearchEngine;
 use mebl_geom::Point;
 use mebl_global::{route_circuit, GlobalConfig, GlobalResult};
 use mebl_netlist::{Circuit, CircuitIssue};
@@ -131,15 +130,6 @@ impl RouterConfig {
     #[must_use]
     pub fn with_pool(mut self, pool: Pool) -> Self {
         self.pool = pool;
-        self
-    }
-
-    /// Returns this configuration with the detailed-routing search
-    /// `engine` installed ([`SearchEngine::Dial`] is the default; the
-    /// legacy heap engine exists for differential testing).
-    #[must_use]
-    pub fn with_engine(mut self, engine: SearchEngine) -> Self {
-        self.detailed.engine = engine;
         self
     }
 

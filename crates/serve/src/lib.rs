@@ -133,9 +133,11 @@ impl Default for ServeConfig {
 /// circuit that now answers 422, and the key is looked up before the
 /// circuit is validated. v4: detailed routing lost its second relaxed
 /// rip-up round, so a v3 record may hold a result in which that round
-/// recovered a net.
+/// recovered a net. v5: the blocker round soft-connects every
+/// connection of a walled-in net, so a v4 record may hold a result in
+/// which it dropped a net it now recovers.
 fn store_fingerprint() -> u64 {
-    mebl_store::fnv1a(b"mebl-serve stored-response v4")
+    mebl_store::fnv1a(b"mebl-serve stored-response v5")
 }
 
 /// Encodes a cacheable response for the store: status (u16 LE) ‖ body.

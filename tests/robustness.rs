@@ -221,38 +221,24 @@ fn window_widening_exhaustion_is_a_recorded_degradation() {
     }
 }
 
-/// The hostile-scenario batteries above default to the production Dial
-/// engine; this spot-check drives the nastiest routed scenarios through
-/// *both* engines explicitly, so the legacy-heap fallback keeps the same
-/// never-panic, audit-clean-or-typed-error contract.
+/// The nastiest routed scenarios under a bounded expansion budget keep
+/// the never-panic, audit-clean-or-typed-error contract.
 #[test]
-fn hostile_scenarios_hold_on_both_engines() {
-    use mebl_route::SearchEngine;
+fn hostile_scenarios_hold_under_a_bounded_budget() {
     let bounded = RunBudget::with_max_expansions(200_000);
-    for engine in [SearchEngine::Dial, SearchEngine::LegacyHeap] {
-        // Congested corner, pins on stitching lines and the boundary.
-        let adv = adversarial_circuit(77);
-        try_and_audit(
-            &adv,
-            RouterConfig::stitch_aware()
-                .with_engine(engine)
-                .with_budget(bounded),
-        );
-        // Starved per-connection search window.
-        let c = quick("S5378", 1);
-        let mut config = RouterConfig::stitch_aware()
-            .with_engine(engine)
-            .with_budget(bounded);
-        config.detailed.node_cap = 8;
-        try_and_audit(&c, config);
-        // Stitch-line-saturated grid (zero friendly capacity).
-        let mut config = RouterConfig::stitch_aware()
-            .with_engine(engine)
-            .with_budget(bounded);
-        config.stitch.period = 2;
-        config.global.tile_size = 2;
-        try_and_audit(&c, config);
-    }
+    // Congested corner, pins on stitching lines and the boundary.
+    let adv = adversarial_circuit(77);
+    try_and_audit(&adv, RouterConfig::stitch_aware().with_budget(bounded));
+    // Starved per-connection search window.
+    let c = quick("S5378", 1);
+    let mut config = RouterConfig::stitch_aware().with_budget(bounded);
+    config.detailed.node_cap = 8;
+    try_and_audit(&c, config);
+    // Stitch-line-saturated grid (zero friendly capacity).
+    let mut config = RouterConfig::stitch_aware().with_budget(bounded);
+    config.stitch.period = 2;
+    config.global.tile_size = 2;
+    try_and_audit(&c, config);
 }
 
 /// Builds the adversarial circuit for [`Fault::AdversarialPins`]: many

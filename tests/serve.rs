@@ -509,10 +509,10 @@ fn inline_text_of_a_benchmark_does_not_alias_its_cache_entry() {
     });
 }
 
-/// Routes 39 of its 40 nets, leaving one `search-exhausted` record, at
+/// Routes 84 of its 85 nets, leaving one `search-exhausted` record, at
 /// every thread count.
 fn search_exhausted_payload(threads: usize, extra: &str) -> String {
-    format!("{{\"bench\":\"Primary1\",\"seed\":3,\"scale\":0.0442,\"threads\":{threads}{extra}}}")
+    format!("{{\"bench\":\"Struct\",\"seed\":21,\"scale\":0.0442,\"threads\":{threads}{extra}}}")
 }
 
 /// An unbudgeted degraded result is a pure function of its request
@@ -542,7 +542,7 @@ fn unbudgeted_degraded_results_are_cached() {
         assert_eq!(cold.header("x-cache"), Some("miss"));
         let text = cold.body_text();
         assert!(text.contains("\"status\":\"degraded\""), "{text}");
-        assert!(text.contains("\"routed_nets\":39"), "{text}");
+        assert!(text.contains("\"routed_nets\":84"), "{text}");
         assert_eq!(text.matches("search-exhausted").count(), 1, "{text}");
         assert_eq!(
             cold.body,

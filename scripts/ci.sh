@@ -15,6 +15,11 @@ echo "=== perfbench compiles (its own workspace, outside --workspace) ==="
 # broken signature must fail here, not first in a benchmark run.
 cargo check --offline --manifest-path perfbench/Cargo.toml
 
+echo "=== perfbench self-test (routed output repeats on every workload) ==="
+# Runs a short op list of each workload twice and once traced, and fails
+# unless quality, counts and every op's output fingerprint repeat.
+cargo run --release --offline --manifest-path perfbench/Cargo.toml -- --self-test
+
 echo "=== test (offline) ==="
 cargo test -q --offline --workspace
 

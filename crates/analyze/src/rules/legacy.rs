@@ -373,7 +373,7 @@ fn f() { let s = \".unwrap() panic!(\"; let r = r#\"dbg!(\"#; }
             rules("crates/detailed/src/router.rs", src),
             vec!["no-binary-heap"; 2]
         );
-        assert!(rules("crates/graph/src/astar.rs", src).is_empty());
+        assert!(rules("crates/graph/src/mcmf.rs", src).is_empty());
         let gated = "#[cfg(test)]\nmod tests {\n    use std::collections::BinaryHeap;\n}\n";
         assert!(rules("crates/detailed/src/dense.rs", gated).is_empty());
     }

@@ -8,7 +8,7 @@
 //! the preferred-direction grid.
 
 use crate::finding::{AuditFinding, AuditReport, FindingKind};
-use mebl_geom::{GridPoint, Point, RTree, Rect, RouteGeometry};
+use mebl_geom::{GridPoint, Point, Rect, RouteGeometry};
 use mebl_netlist::{Net, NetId};
 use std::collections::BTreeMap;
 
@@ -16,26 +16,19 @@ use std::collections::BTreeMap;
 ///
 /// Blockages are keep-outs on every layer, so 2-D overlap of a segment's
 /// bounding box (exact for rectilinear wires) or a via's point is a
-/// violation. With `tree` set (the R-tree scan backend) each element
-/// costs one window query; otherwise the blockage list is scanned
-/// linearly. Finding content is independent of which blockage matched,
-/// so both backends emit bit-identical findings.
+/// violation. Each segment and via scans the blockage list, so the cost
+/// is geometry × blockages; one finding is emitted per element however
+/// many blockages it touches.
 pub(crate) fn check_blockages(
     net: NetId,
     geometry: &RouteGeometry,
     blockages: &[Rect],
-    tree: Option<&RTree<usize>>,
     out: &mut AuditReport,
 ) {
     if blockages.is_empty() {
         return;
     }
-    let hit = |r: Rect| -> bool {
-        match tree {
-            Some(t) => !t.query(r).is_empty(),
-            None => blockages.iter().any(|b| b.overlaps(r)),
-        }
-    };
+    let hit = |r: Rect| blockages.iter().any(|b| b.overlaps(r));
     for seg in geometry.segments() {
         let bb = Rect::from_intervals(seg.x_interval(), seg.y_interval());
         if hit(bb) {

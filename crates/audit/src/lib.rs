@@ -50,28 +50,12 @@ mod patterns;
 
 pub use finding::{AuditCounts, AuditFinding, AuditReport, FindingKind, Severity};
 
-use mebl_geom::{Point, RTree, Rect};
+use mebl_geom::Point;
 use mebl_netlist::{Circuit, NetId};
 use mebl_route::{RouterConfig, RoutingOutcome};
 use std::collections::BTreeSet;
 
-/// Which scan strategy the auditor uses for geometry membership tests.
-///
-/// Both backends are held to bit-identical findings by the test suite;
-/// [`ScanBackend::Linear`] is the original brute-force oracle,
-/// [`ScanBackend::RTree`] routes line membership, candidate-segment and
-/// blockage lookups through the STR-bulk-loaded [`RTree`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ScanBackend {
-    /// Plain linear scans (the reference oracle).
-    Linear,
-    /// R-tree window queries (the default).
-    #[default]
-    RTree,
-}
-
-/// Audits one routing solution end to end with the default
-/// ([`ScanBackend::RTree`]) backend.
+/// Audits one routing solution end to end.
 ///
 /// `circuit` and `config` must be the inputs the solution was produced
 /// from; the audit re-derives everything else from `outcome` itself.
@@ -81,34 +65,8 @@ pub fn audit_outcome(
     config: &RouterConfig,
     outcome: &RoutingOutcome,
 ) -> AuditReport {
-    audit_outcome_with_backend(circuit, config, outcome, ScanBackend::default())
-}
-
-/// Audits one routing solution end to end with an explicit scan backend.
-#[must_use]
-pub fn audit_outcome_with_backend(
-    circuit: &Circuit,
-    config: &RouterConfig,
-    outcome: &RoutingOutcome,
-    backend: ScanBackend,
-) -> AuditReport {
     let mut out = AuditReport::default();
     let plan = &outcome.plan;
-    let line_index = match backend {
-        ScanBackend::Linear => None,
-        ScanBackend::RTree => Some(patterns::LineIndex::build(plan)),
-    };
-    let blockage_tree: Option<RTree<usize>> = match backend {
-        ScanBackend::Linear => None,
-        ScanBackend::RTree => Some(RTree::bulk_load(
-            circuit
-                .blockages()
-                .iter()
-                .enumerate()
-                .map(|(i, b)| (*b, i))
-                .collect::<Vec<(Rect, usize)>>(),
-        )),
-    };
 
     check_plan(circuit, config, outcome, &mut out);
 
@@ -139,17 +97,11 @@ pub fn audit_outcome_with_backend(
             &mut out,
         );
         geometry::check_connectivity(id, net, geometry, &mut out);
-        geometry::check_blockages(
-            id,
-            geometry,
-            circuit.blockages(),
-            blockage_tree.as_ref(),
-            &mut out,
-        );
+        geometry::check_blockages(id, geometry, circuit.blockages(), &mut out);
 
         // Independent bad-pattern recount vs the flow's own checker.
         let pins: BTreeSet<Point> = net.pins().iter().map(|p| p.position).collect();
-        let (counts, sites) = patterns::recount_net(plan, geometry, &pins, line_index.as_ref());
+        let (counts, sites) = patterns::recount_net(plan, geometry, &pins);
         for p in &sites.off_pin_vias {
             out.push(hard(FindingKind::OffPinViaOnLine, id, *p));
         }

@@ -13,7 +13,7 @@
 //! [`AuditFinding`]: crate::AuditFinding
 
 use crate::finding::AuditCounts;
-use mebl_geom::{Coord, Point, RTree, Rect, RouteGeometry};
+use mebl_geom::{Coord, Point, RouteGeometry};
 use mebl_stitch::StitchPlan;
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -26,55 +26,18 @@ pub(crate) struct HardViolationSites {
     pub vertical_rides: Vec<Point>,
 }
 
-/// Spatial index over the plan's stitching lines, built once per audit
-/// for the R-tree scan backend: each line becomes a degenerate strip
-/// rectangle spanning the outline's y extent.
-pub(crate) struct LineIndex {
-    tree: RTree<Coord>,
-    y0: Coord,
-    y1: Coord,
-}
-
-impl LineIndex {
-    /// Indexes every stitching line of `plan` as a vertical strip.
-    pub(crate) fn build(plan: &StitchPlan) -> Self {
-        let o = plan.outline();
-        let items: Vec<(Rect, Coord)> = plan
-            .lines()
-            .iter()
-            .map(|&l| (Rect::new(l, o.y0(), l, o.y1()), l))
-            .collect();
-        Self {
-            tree: RTree::bulk_load(items),
-            y0: o.y0(),
-            y1: o.y1(),
-        }
-    }
-
-    /// Whether `x` is exactly a stitching line.
-    fn on_line(&self, x: Coord) -> bool {
-        !self.tree.query(Rect::new(x, self.y0, x, self.y0)).is_empty()
-    }
-
-    /// Whether any line lies in the inclusive x range `[lo, hi]`.
-    fn any_in(&self, lo: Coord, hi: Coord) -> bool {
-        lo <= hi && !self.tree.query(Rect::new(lo, self.y0, hi, self.y0)).is_empty()
-    }
-}
-
 /// Independently recounts one net's violations and quality metrics.
 ///
 /// `pins` must hold the net's fixed pin positions. The returned counts use
 /// the same definitions as [`mebl_stitch::check_geometry`] but share no
-/// code with it. With `index` set, line membership and candidate-segment
-/// lookups go through R-tree queries instead of linear scans; counts and
-/// site order are bit-identical either way (the differential test in the
-/// suite holds both backends to that).
+/// code with it. Every lookup is a linear scan of the plan's line list or
+/// the net's segments: a plan has a few dozen lines at most and a net a
+/// few dozen segments, so a spatial index costs more to build than the
+/// scans it would save (DESIGN.md §7).
 pub(crate) fn recount_net(
     plan: &StitchPlan,
     geometry: &RouteGeometry,
     pins: &BTreeSet<Point>,
-    index: Option<&LineIndex>,
 ) -> (AuditCounts, HardViolationSites) {
     let lines = plan.lines();
     let eps = plan.config().epsilon;
@@ -87,14 +50,9 @@ pub(crate) fn recount_net(
     }
     counts.via_count = geometry.vias().len() as u64;
 
-    // Via violations: line membership per via — a point query against the
-    // strip index, or a linear scan of the line list.
+    // Via violations: line membership per via, by a scan of the line list.
     for via in geometry.vias() {
-        let on_line = match index {
-            Some(idx) => idx.on_line(via.x),
-            None => lines.contains(&via.x),
-        };
-        if on_line {
+        if lines.contains(&via.x) {
             counts.via_violations += 1;
             if !pins.contains(&via.point()) {
                 counts.via_violations_off_pin += 1;
@@ -105,52 +63,17 @@ pub(crate) fn recount_net(
 
     // Vertical riding: iterate lines on the outside and walk every covered
     // y explicitly. A segment whose covered points are all fixed pins is a
-    // fused via-landing cluster, not a wire. The linear backend scans all
-    // segments per line; the R-tree backend queries the line's strip and
-    // visits the candidates in segment order, reproducing the same sites.
-    let mut ride = |line: Coord, seg: &mebl_geom::Segment| {
-        if seg.is_horizontal() || seg.track != line || seg.span.lo() == seg.span.hi() {
-            return;
-        }
-        let mut all_pins = true;
-        for y in seg.span.lo()..=seg.span.hi() {
-            if !pins.contains(&Point::new(line, y)) {
-                all_pins = false;
-                break;
+    // fused via-landing cluster, not a wire.
+    for &line in lines {
+        for seg in geometry.segments() {
+            if seg.is_horizontal() || seg.track != line || seg.span.lo() == seg.span.hi() {
+                continue;
             }
-        }
-        if !all_pins {
-            counts.vertical_violations += 1;
-            sites.vertical_rides.push(Point::new(line, seg.span.lo()));
-        }
-    };
-    match index {
-        None => {
-            for &line in lines {
-                for seg in geometry.segments() {
-                    ride(line, seg);
-                }
-            }
-        }
-        Some(idx) => {
-            let items: Vec<(Rect, usize)> = geometry
-                .segments()
-                .iter()
-                .enumerate()
-                .filter(|(_, s)| !s.is_horizontal())
-                .map(|(i, s)| (Rect::from_intervals(s.x_interval(), s.y_interval()), i))
-                .collect();
-            let seg_tree = RTree::bulk_load(items);
-            for &line in lines {
-                let mut hits: Vec<usize> = seg_tree
-                    .query(Rect::new(line, idx.y0, line, idx.y1))
-                    .iter()
-                    .map(|(_, &i)| i)
-                    .collect();
-                hits.sort_unstable();
-                for i in hits {
-                    ride(line, &geometry.segments()[i]);
-                }
+            let all_pins =
+                (seg.span.lo()..=seg.span.hi()).all(|y| pins.contains(&Point::new(line, y)));
+            if !all_pins {
+                counts.vertical_violations += 1;
+                sites.vertical_rides.push(Point::new(line, seg.span.lo()));
             }
         }
     }
@@ -174,39 +97,20 @@ pub(crate) fn recount_net(
     }
     for ((layer, y), xs) in &cells {
         // Decompose the sorted cell set into maximal contiguous ranges.
-        let mut run_start: Option<Coord> = None;
-        let mut prev: Option<Coord> = None;
         let mut ranges: Vec<(Coord, Coord)> = Vec::new();
         for &x in xs {
-            match (run_start, prev) {
-                (Some(s), Some(p)) if x == p + 1 => {
-                    prev = Some(x);
-                    let _ = s;
-                }
-                (Some(s), Some(p)) => {
-                    ranges.push((s, p));
-                    run_start = Some(x);
-                    prev = Some(x);
-                }
-                _ => {
-                    run_start = Some(x);
-                    prev = Some(x);
-                }
+            match ranges.last_mut() {
+                Some((_, hi)) if x == *hi + 1 => *hi = x,
+                _ => ranges.push((x, x)),
             }
-        }
-        if let (Some(s), Some(p)) = (run_start, prev) {
-            ranges.push((s, p));
         }
         for (x0, x1) in ranges {
             for end in [x0, x1] {
                 // A line cuts the run strictly inside (x0, x1) and sits
                 // within eps of this end.
-                let cut_nearby = match index {
-                    Some(idx) => idx.any_in((x0 + 1).max(end - eps), (x1 - 1).min(end + eps)),
-                    None => lines
-                        .iter()
-                        .any(|&l| x0 < l && l < x1 && (end - l).abs() <= eps),
-                };
+                let cut_nearby = lines
+                    .iter()
+                    .any(|&l| x0 < l && l < x1 && (end - l).abs() <= eps);
                 if cut_nearby && via_touches.contains(&(Point::new(end, *y), *layer)) {
                     counts.short_polygons += 1;
                 }
@@ -247,13 +151,7 @@ mod tests {
 
     fn agree(geometry: &RouteGeometry, pins: &[Point]) {
         let pin_set: BTreeSet<Point> = pins.iter().copied().collect();
-        let (mine, linear_sites) = recount_net(&plan(), geometry, &pin_set, None);
-        // Both scan backends must agree with each other exactly.
-        let index = LineIndex::build(&plan());
-        let (indexed, indexed_sites) = recount_net(&plan(), geometry, &pin_set, Some(&index));
-        assert_eq!(mine, indexed);
-        assert_eq!(linear_sites.off_pin_vias, indexed_sites.off_pin_vias);
-        assert_eq!(linear_sites.vertical_rides, indexed_sites.vertical_rides);
+        let (mine, _) = recount_net(&plan(), geometry, &pin_set);
         let theirs = check_geometry(&plan(), geometry, |p| pin_set.contains(&p));
         assert_eq!(mine.via_violations, theirs.via_violations as u64);
         assert_eq!(
@@ -322,7 +220,7 @@ mod tests {
         let mut g = RouteGeometry::new();
         g.push_via(Via::new(15, 5, Layer::new(0)));
         g.push_segment(Segment::vertical(Layer::new(1), 30, 2, 9));
-        let (counts, sites) = recount_net(&plan(), &g, &BTreeSet::new(), None);
+        let (counts, sites) = recount_net(&plan(), &g, &BTreeSet::new());
         assert!(!counts.hard_clean());
         assert_eq!(sites.off_pin_vias, vec![Point::new(15, 5)]);
         assert_eq!(sites.vertical_rides, vec![Point::new(30, 2)]);

@@ -17,6 +17,7 @@ use mebl_netlist::CircuitIssue;
 use mebl_par::Pool;
 use mebl_route::{CancelToken, RouteError, Router, RouterConfig, RunBudget};
 use mebl_serve::api::{error_json, route_response_json, JobRequest};
+use mebl_serve::cache::fnv1a;
 use mebl_serve::http::Response;
 use mebl_serve::json::{self, Json};
 use mebl_serve::metrics::Counter;
@@ -203,7 +204,7 @@ impl Coordinator {
             self.metrics.no_workers.inc();
             return Err(CoordError::NoWorkers);
         }
-        let home = (fnv1a(key.as_bytes()) % n as u64) as usize;
+        let home = (fnv1a(key.bytes()) % n as u64) as usize;
         for pass in 0..2u8 {
             for off in 0..n {
                 let w = (home + off) % n;
@@ -465,16 +466,6 @@ fn parse_fragment(reply: &WorkerReply, worker: SocketAddr) -> Result<FragmentOut
     Ok(FragmentOutcome::from_outcome(&saved.outcome))
 }
 
-/// FNV-1a, the workspace's standard stable fingerprint.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -493,6 +484,6 @@ mod tests {
     #[test]
     fn fnv_is_the_published_function() {
         // Known-answer: FNV-1a("a") from the reference tables.
-        assert_eq!(fnv1a(b"a"), 0xaf63_dc4c_8601_ec8c);
+        assert_eq!(fnv1a(*b"a"), 0xaf63_dc4c_8601_ec8c);
     }
 }

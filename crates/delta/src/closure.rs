@@ -98,10 +98,11 @@ pub fn affected_nets(prior: &RoutingOutcome, plan: &EditPlan) -> Vec<usize> {
 mod tests {
     use super::*;
     use crate::edit::{apply_edits, CircuitEdit};
-    use mebl_geom::{Layer, Point, RTree};
+    use mebl_geom::{GridPoint, Layer, Point};
     use mebl_netlist::{BenchmarkSpec, Circuit, GenerateConfig, Net, Pin};
     use mebl_route::{Router, RouterConfig};
     use mebl_testkit::{Rng, SplitMix64};
+    use std::collections::BTreeMap;
 
     fn pin(x: i32, y: i32, l: u8) -> Pin {
         Pin::new(Point::new(x, y), Layer::new(l))
@@ -193,10 +194,12 @@ mod tests {
         assert!(affected_nets(&prior, &plan).is_empty());
     }
 
-    /// The closure as an R-tree answered it before the scan replaced
-    /// it: every prior segment and via bulk-loaded with its owning net
-    /// and layer span, then one query per blockage and dirty pin cell.
-    fn rtree_closure(prior: &RoutingOutcome, plan: &EditPlan) -> Vec<usize> {
+    /// The closure by a route independent of the scan: every prior cell
+    /// (each segment point, and both ends of each via, on its own
+    /// layer) mapped to the nets that own it, then looked up at every
+    /// cell of each added blockage on every layer and at each dirty pin
+    /// cell on its own layer.
+    fn cell_map_closure(prior: &RoutingOutcome, plan: &EditPlan) -> Vec<usize> {
         let n = plan.circuit.net_count();
         let mut base_to_new: Vec<Option<usize>> = vec![None; prior.detailed.geometry.len()];
         for (new, origin) in plan.origin.iter().enumerate() {
@@ -212,39 +215,43 @@ mod tests {
                 }
             }
         }
-        let mut items: Vec<(Rect, (usize, u8, u8))> = Vec::new();
+        let mut owners: BTreeMap<GridPoint, Vec<usize>> = BTreeMap::new();
         for (net, geom) in prior.detailed.geometry.iter().enumerate() {
-            for seg in geom.segments() {
-                let l = seg.layer.index();
-                let rect = Rect::from_intervals(seg.x_interval(), seg.y_interval());
-                items.push((rect, (net, l, l)));
-            }
-            for via in geom.vias() {
-                let rect = Rect::new(via.x, via.y, via.x, via.y);
-                items.push((rect, (net, via.lower.index(), via.upper().index())));
+            let via_ends = geom.vias().iter().flat_map(|v| {
+                [
+                    GridPoint::new(v.x, v.y, v.lower),
+                    GridPoint::new(v.x, v.y, v.upper()),
+                ]
+            });
+            for cell in geom
+                .segments()
+                .iter()
+                .flat_map(|s| s.points())
+                .chain(via_ends)
+            {
+                owners.entry(cell).or_default().push(net);
             }
         }
-        let tree = RTree::bulk_load(items);
-        let mut hit = |&(net, _, _): &(usize, u8, u8)| {
-            if let Some(new) = base_to_new[net] {
-                affected[new] = true;
+        let mut hit = |cell: GridPoint| {
+            for &net in owners.get(&cell).into_iter().flatten() {
+                if let Some(new) = base_to_new[net] {
+                    affected[new] = true;
+                }
             }
         };
         for rect in &plan.added_blockages {
-            for (_, item) in tree.query(*rect) {
-                hit(item);
+            for x in rect.xs().iter() {
+                for y in rect.ys().iter() {
+                    for l in 0..plan.circuit.layer_count() {
+                        hit(GridPoint::new(x, y, Layer::new(l)));
+                    }
+                }
             }
         }
         for (i, net) in plan.circuit.nets().iter().enumerate() {
-            if !plan.dirty[i] {
-                continue;
-            }
-            for pin in net.pins() {
-                let l = pin.layer.index();
-                for (_, item) in tree.query(Rect::from_point(pin.position)) {
-                    if item.1 <= l && l <= item.2 {
-                        hit(item);
-                    }
+            if plan.dirty[i] {
+                for pin in net.pins() {
+                    hit(pin.position.on_layer(pin.layer));
                 }
             }
         }
@@ -341,7 +348,7 @@ mod tests {
     }
 
     #[test]
-    fn scan_closure_matches_rtree_closure_on_seeded_edits() {
+    fn scan_closure_matches_cell_map_closure_on_seeded_edits() {
         let config = RouterConfig::stitch_aware();
         for (name, seed) in [("S5378", 1), ("S9234", 2), ("S13207", 3)] {
             let base = BenchmarkSpec::by_name(name)
@@ -355,7 +362,7 @@ mod tests {
                 let edits = seeded_edits(&base, &prior, &mut rng, len);
                 let plan = apply_edits(&base, &edits).expect("seeded edits apply");
                 let scan = affected_nets(&prior, &plan);
-                assert_eq!(scan, rtree_closure(&prior, &plan), "{name}: {edits:?}");
+                assert_eq!(scan, cell_map_closure(&prior, &plan), "{name}: {edits:?}");
                 // Lists whose closure reaches past the dirty nets, i.e.
                 // where the blockage or pin-cell rule fired.
                 pulled += usize::from(scan.iter().any(|&i| !plan.dirty[i]));

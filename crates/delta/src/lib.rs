@@ -11,7 +11,7 @@
 //!    ([`apply_edits`]), producing the edited circuit plus provenance
 //!    (which new net was which base net).
 //! 2. **Closure** — the affected-net set is computed against the prior
-//!    geometry through an R-tree spatial index: directly edited nets,
+//!    geometry by one scan against the edit's query windows: directly edited nets,
 //!    nets overlapping added blockages, nets sitting on a dirty net's
 //!    pin cells, and previously-unrouted nets.
 //! 3. **Patch** — only the closure is ripped up. The undo is exact

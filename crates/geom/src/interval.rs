@@ -104,21 +104,6 @@ impl Interval {
         }
     }
 
-    /// Grows the interval by `amount` on each side.
-    ///
-    /// # Panics
-    ///
-    /// Panics in debug builds on coordinate overflow.
-    pub fn expand(self, amount: Coord) -> Interval {
-        Interval::new(self.lo - amount, self.hi + amount)
-    }
-
-    /// Clamps the interval to fit inside `bounds`, returning `None` if the
-    /// intersection is empty.
-    pub fn clamp_to(self, bounds: Interval) -> Option<Interval> {
-        self.intersect(bounds)
-    }
-
     /// Iterates over all contained coordinates in increasing order.
     ///
     /// ```
@@ -175,11 +160,6 @@ mod tests {
         let a = Interval::new(0, 2);
         let b = Interval::new(7, 9);
         assert_eq!(a.hull(b), Interval::new(0, 9));
-    }
-
-    #[test]
-    fn expand_grows_both_sides() {
-        assert_eq!(Interval::new(4, 6).expand(2), Interval::new(2, 8));
     }
 
     #[test]

@@ -36,14 +36,12 @@ mod interval;
 mod layer;
 mod point;
 mod rect;
-mod rtree;
 mod wire;
 
 pub use interval::Interval;
 pub use layer::{Layer, Orientation};
 pub use point::{GridPoint, Point};
 pub use rect::Rect;
-pub use rtree::RTree;
 pub use wire::{RouteGeometry, Segment, Via};
 
 /// Scalar coordinate type used across the stack (one unit = one pitch).

@@ -117,14 +117,6 @@ impl Rect {
         }
     }
 
-    /// Grows the rectangle by `amount` on every side.
-    pub fn expand(self, amount: Coord) -> Rect {
-        Rect {
-            xs: self.xs.expand(amount),
-            ys: self.ys.expand(amount),
-        }
-    }
-
     /// Extends the rectangle to include `p`.
     pub fn including(self, p: Point) -> Rect {
         self.hull(Rect::from_point(p))

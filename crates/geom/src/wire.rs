@@ -89,12 +89,6 @@ impl Segment {
         }
     }
 
-    /// Endpoints with the layer attached.
-    pub fn grid_endpoints(&self) -> (GridPoint, GridPoint) {
-        let (a, b) = self.endpoints();
-        (a.on_layer(self.layer), b.on_layer(self.layer))
-    }
-
     /// Whether the 2-D point lies on the segment (layer ignored).
     pub fn contains_point(&self, p: Point) -> bool {
         if self.is_horizontal() {

@@ -126,13 +126,6 @@ impl RouterConfig {
         self
     }
 
-    /// Returns this configuration with `pool` installed.
-    #[must_use]
-    pub fn with_pool(mut self, pool: Pool) -> Self {
-        self.pool = pool;
-        self
-    }
-
     /// Checks the stitch geometry parameters that [`StitchPlan::new`]
     /// would otherwise reject by panicking.
     fn check_stitch(&self) -> Result<(), RouteError> {

@@ -318,11 +318,13 @@ impl Endpoint {
     }
 }
 
-/// Typed failure of one job execution: either the router's own error
-/// taxonomy, or a panel job inside a sharded run failing with one.
+/// Typed failure of one job execution: the router's own error
+/// taxonomy, a panel job inside a sharded run failing with one, or a
+/// delta job's edit list that does not apply.
 enum JobError {
     Route(RouteError),
     Panel { key: String, detail: String },
+    Edits(String),
 }
 
 impl From<mebl_shard::ShardError> for JobError {
@@ -611,32 +613,51 @@ impl Server {
             Endpoint::Audit => m.audit_requests.inc(),
             Endpoint::RouteOutcome => m.outcome_requests.inc(),
         }
-        if self.shared.draining.load(Ordering::SeqCst) {
-            m.shutdown_rejects.inc();
-            return Response::json(
-                503,
-                error_json("shutting-down", "server is draining").encode(),
-            );
-        }
-
-        let job = match std::str::from_utf8(&request.body)
-            .map_err(|_| "body is not UTF-8".to_string())
-            .and_then(|text| {
-                crate::json::parse(text).map_err(|e| e.to_string())
-            })
-            .and_then(|doc| JobRequest::from_json(&doc))
-        {
+        let job = match self.parse_body(request, JobRequest::from_json) {
             Ok(job) => job,
-            Err(detail) => {
-                m.bad_requests.inc();
-                return Response::json(400, error_json("bad-request", &detail).encode());
-            }
+            Err(refused) => return refused,
         };
-
         let key = match job.circuit_source() {
             Ok(source) => job.cache_key(endpoint.name(), &source, self.shared.default_budget),
             Err(e) => return self.circuit_error(e),
         };
+        self.run_cached(key, &job, |circuit| self.execute(endpoint, &job, circuit))
+    }
+
+    /// The front every job endpoint shares: a `503` while draining, then
+    /// the body parsed as UTF-8 JSON by `from_json`, or a `400`.
+    fn parse_body<T>(
+        &self,
+        request: &Request,
+        from_json: impl FnOnce(&Json) -> Result<T, String>,
+    ) -> Result<T, Response> {
+        let m = &self.shared.metrics;
+        if self.shared.draining.load(Ordering::SeqCst) {
+            m.shutdown_rejects.inc();
+            return Err(Response::json(
+                503,
+                error_json("shutting-down", "server is draining").encode(),
+            ));
+        }
+        std::str::from_utf8(&request.body)
+            .map_err(|_| "body is not UTF-8".to_string())
+            .and_then(|text| crate::json::parse(text).map_err(|e| e.to_string()))
+            .and_then(|doc| from_json(&doc))
+            .map_err(|detail| {
+                m.bad_requests.inc();
+                Response::json(400, error_json("bad-request", &detail).encode())
+            })
+    }
+
+    /// The keyed half every job endpoint shares: a hit in either cache
+    /// tier, or on a miss the circuit built, `run` timed as the job's
+    /// work, and a cacheable result admitted.
+    fn run_cached(
+        &self,
+        key: u64,
+        job: &JobRequest,
+        run: impl FnOnce(&mebl_netlist::Circuit) -> (Response, bool),
+    ) -> Response {
         if let Some(hit) = self.lookup(key) {
             return hit;
         }
@@ -646,8 +667,8 @@ impl Server {
         };
 
         let work = Stopwatch::start();
-        let (response, cacheable) = self.execute(endpoint, &job, &circuit);
-        m.work_hist.observe(work.elapsed());
+        let (response, cacheable) = run(&circuit);
+        self.shared.metrics.work_hist.observe(work.elapsed());
 
         if cacheable {
             self.admit(key, &response);
@@ -764,62 +785,54 @@ impl Server {
             Ok((body, outcome.is_degraded()))
         });
 
+        self.respond(result, job.budget(self.shared.default_budget))
+    }
+
+    /// Maps one supervised job run to its response and whether it may be
+    /// cached: a panic, a failed panel or a typed routing error becomes
+    /// its error status, and a finished run a `200` counted clean or
+    /// degraded.
+    fn respond(
+        &self,
+        result: Result<Result<(Json, bool), JobError>, String>,
+        budget: RunBudget,
+    ) -> (Response, bool) {
+        let m = &self.shared.metrics;
+        let interrupt = &self.shared.interrupt;
+        let refuse = |status, kind, detail: &str| {
+            (
+                Response::json(status, error_json(kind, detail).encode()),
+                false,
+            )
+        };
         match result {
             Err(_panic_message) => {
                 m.worker_panics.inc();
-                (
-                    Response::json(
-                        500,
-                        error_json("worker-panic", "job panicked; worker recovered").encode(),
-                    ),
-                    false,
-                )
+                refuse(500, "worker-panic", "job panicked; worker recovered")
             }
             Ok(Err(JobError::Panel { key, detail })) => {
                 m.internal_errors.inc();
-                (
-                    Response::json(
-                        500,
-                        error_json("panel-failed", &format!("panel {key}: {detail}")).encode(),
-                    ),
-                    false,
-                )
+                refuse(500, "panel-failed", &format!("panel {key}: {detail}"))
+            }
+            Ok(Err(JobError::Edits(detail))) => {
+                m.invalid_circuits.inc();
+                refuse(422, "invalid-edits", &detail)
             }
             Ok(Err(JobError::Route(RouteError::InvalidConfig(detail)))) => {
                 m.bad_requests.inc();
-                (
-                    Response::json(400, error_json("invalid-config", &detail).encode()),
-                    false,
-                )
+                refuse(400, "invalid-config", &detail)
             }
             Ok(Err(JobError::Route(e @ RouteError::InvalidCircuit(_)))) => {
                 m.invalid_circuits.inc();
-                (
-                    Response::json(422, error_json("invalid-circuit", &e.to_string()).encode()),
-                    false,
-                )
+                refuse(422, "invalid-circuit", &e.to_string())
             }
             Ok(Err(JobError::Route(RouteError::BudgetExhausted))) => {
                 if interrupt.is_cancelled_now() {
                     m.cancelled_by_shutdown.inc();
-                    (
-                        Response::json(
-                            503,
-                            error_json("shutting-down", "cancelled before routing started")
-                                .encode(),
-                        ),
-                        false,
-                    )
+                    refuse(503, "shutting-down", "cancelled before routing started")
                 } else {
                     m.budget_exhausted.inc();
-                    (
-                        Response::json(
-                            504,
-                            error_json("budget-exhausted", "budget spent before routing")
-                                .encode(),
-                        ),
-                        false,
-                    )
+                    refuse(504, "budget-exhausted", "budget spent before routing")
                 }
             }
             Ok(Ok((body, degraded))) => {
@@ -831,7 +844,7 @@ impl Server {
                 } else {
                     m.clean.inc();
                 }
-                let cacheable = self.reproducible(degraded, job.budget(self.shared.default_budget));
+                let cacheable = self.reproducible(degraded, budget);
                 (Response::json(200, body.encode()), cacheable)
             }
         }
@@ -844,28 +857,11 @@ impl Server {
     /// empty edit list still keys differently from `/route` while its
     /// *body* stays byte-identical to the `/route` response.
     fn delta_job(&self, request: &Request) -> Response {
-        let m = &self.shared.metrics;
-        m.delta_requests.inc();
-        if self.shared.draining.load(Ordering::SeqCst) {
-            m.shutdown_rejects.inc();
-            return Response::json(
-                503,
-                error_json("shutting-down", "server is draining").encode(),
-            );
-        }
-
-        let req = match std::str::from_utf8(&request.body)
-            .map_err(|_| "body is not UTF-8".to_string())
-            .and_then(|text| crate::json::parse(text).map_err(|e| e.to_string()))
-            .and_then(|doc| DeltaRequest::from_json(&doc))
-        {
+        self.shared.metrics.delta_requests.inc();
+        let req = match self.parse_body(request, DeltaRequest::from_json) {
             Ok(req) => req,
-            Err(detail) => {
-                m.bad_requests.inc();
-                return Response::json(400, error_json("bad-request", &detail).encode());
-            }
+            Err(refused) => return refused,
         };
-
         let source = match req.job.circuit_source() {
             Ok(source) => source,
             Err(e) => return self.circuit_error(e),
@@ -877,22 +873,9 @@ impl Server {
             base_key,
             format!("endpoint=route-delta;edits={}", canonical_edits(&req.edits)).bytes(),
         );
-        if let Some(hit) = self.lookup(key) {
-            return hit;
-        }
-        let circuit = match req.job.build_circuit() {
-            Ok(circuit) => circuit,
-            Err(e) => return self.circuit_error(e),
-        };
-
-        let work = Stopwatch::start();
-        let (response, cacheable) = self.execute_delta(&req, base_key, &circuit);
-        m.work_hist.observe(work.elapsed());
-
-        if cacheable {
-            self.admit(key, &response);
-        }
-        response.with_header("x-cache", "miss")
+        self.run_cached(key, &req.job, |circuit| {
+            self.execute_delta(&req, base_key, circuit)
+        })
     }
 
     /// Runs one delta job: the prior outcome comes from the outcome
@@ -905,7 +888,6 @@ impl Server {
         base_key: u64,
         circuit: &mebl_netlist::Circuit,
     ) -> (Response, bool) {
-        let m = &self.shared.metrics;
         let interrupt = &self.shared.interrupt;
         let budget = req.job.budget(self.shared.default_budget);
         let router = Router::new(req.job.router_config(self.shared.default_budget));
@@ -914,7 +896,9 @@ impl Server {
             let prior: PriorOutcome = match self.shared.outcomes.get(base_key) {
                 Some(prior) => prior,
                 None => {
-                    let outcome = router.try_route_under(circuit, interrupt)?;
+                    let outcome = router
+                        .try_route_under(circuit, interrupt)
+                        .map_err(JobError::Route)?;
                     let prior: PriorOutcome = Arc::new((circuit.clone(), outcome));
                     // Only reproducible priors are worth keeping: one cut
                     // short by a budget or the interrupt reflects that
@@ -931,85 +915,13 @@ impl Server {
                 &req.edits,
                 router.config(),
                 interrupt,
-            );
-            Ok((delta, prior.1.is_degraded()))
+            )
+            .map_err(|e| JobError::Edits(e.to_string()))?;
+            let body =
+                route_response_json(req.job.circuit_name(), req.job.mode, &delta.outcome, false);
+            Ok((body, prior.1.is_degraded() || delta.outcome.is_degraded()))
         });
-
-        match result {
-            Err(_panic_message) => {
-                m.worker_panics.inc();
-                (
-                    Response::json(
-                        500,
-                        error_json("worker-panic", "job panicked; worker recovered").encode(),
-                    ),
-                    false,
-                )
-            }
-            Ok(Err(RouteError::InvalidConfig(detail))) => {
-                m.bad_requests.inc();
-                (
-                    Response::json(400, error_json("invalid-config", &detail).encode()),
-                    false,
-                )
-            }
-            Ok(Err(e @ RouteError::InvalidCircuit(_))) => {
-                m.invalid_circuits.inc();
-                (
-                    Response::json(422, error_json("invalid-circuit", &e.to_string()).encode()),
-                    false,
-                )
-            }
-            Ok(Err(RouteError::BudgetExhausted)) => {
-                if interrupt.is_cancelled_now() {
-                    m.cancelled_by_shutdown.inc();
-                    (
-                        Response::json(
-                            503,
-                            error_json("shutting-down", "cancelled before routing started")
-                                .encode(),
-                        ),
-                        false,
-                    )
-                } else {
-                    m.budget_exhausted.inc();
-                    (
-                        Response::json(
-                            504,
-                            error_json("budget-exhausted", "budget spent before routing")
-                                .encode(),
-                        ),
-                        false,
-                    )
-                }
-            }
-            Ok(Ok((Err(e), _))) => {
-                m.invalid_circuits.inc();
-                (
-                    Response::json(422, error_json("invalid-edits", &e.to_string()).encode()),
-                    false,
-                )
-            }
-            Ok(Ok((Ok(delta), prior_degraded))) => {
-                let degraded = prior_degraded || delta.outcome.is_degraded();
-                if degraded {
-                    m.degraded.inc();
-                    if interrupt.is_cancelled_now() {
-                        m.cancelled_by_shutdown.inc();
-                    }
-                } else {
-                    m.clean.inc();
-                }
-                let body = route_response_json(
-                    req.job.circuit_name(),
-                    req.job.mode,
-                    &delta.outcome,
-                    false,
-                );
-                let cacheable = self.reproducible(degraded, budget);
-                (Response::json(200, body.encode()), cacheable)
-            }
-        }
+        self.respond(result, budget)
     }
 }
 

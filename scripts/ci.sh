@@ -168,6 +168,10 @@ expect_exit 1 "$mebl" frobnicate
 expect_exit 1 "$mebl" audit --bench NOPE
 expect_exit 1 "$mebl" serve --workers 0
 expect_exit 2 "$mebl" audit --bench S5378 --seed 1 --max-expansions 2000
+# Unbudgeted and still degraded: one pin is walled in by blockages, so a
+# net stays unrouted, and the strict audit (blockage scan included) is
+# clean.
+expect_exit 2 "$mebl" audit tests/data/sealed_pin.txt --strict
 bad_circuit=$(mktemp)
 echo "this is not a netlist" > "$bad_circuit"
 expect_exit 3 "$mebl" route "$bad_circuit"

@@ -2,7 +2,7 @@
 //! pass clean routing solutions and catch every class of injected defect.
 
 use mebl_audit::{audit_outcome, FindingKind};
-use mebl_geom::{Layer, Point, RouteGeometry, Segment, Via};
+use mebl_geom::{Layer, Point, Rect, RouteGeometry, Segment, Via};
 use mebl_netlist::{BenchmarkSpec, Circuit, GenerateConfig};
 use mebl_route::{Router, RouterConfig, RoutingOutcome};
 use mebl_testkit::prop::{self, Config};
@@ -211,59 +211,15 @@ fn mutation_unrouted_net_with_geometry_is_detected() {
     );
 }
 
-// ---------------------------------------------------------------------
-// Scan-backend equivalence: the R-tree-backed auditor must be a pure
-// drop-in for the linear reference scans — identical findings in
-// identical order, identical recount — on clean solutions and on
-// defective ones alike.
-// ---------------------------------------------------------------------
-
-use mebl_audit::{audit_outcome_with_backend, ScanBackend};
-
-/// Audits with both backends and asserts the full reports match.
-fn assert_backends_agree(
-    circuit: &Circuit,
-    config: &RouterConfig,
-    outcome: &RoutingOutcome,
-    ctx: &str,
-) {
-    let linear = audit_outcome_with_backend(circuit, config, outcome, ScanBackend::Linear);
-    let rtree = audit_outcome_with_backend(circuit, config, outcome, ScanBackend::RTree);
-    assert_eq!(
-        linear.findings, rtree.findings,
-        "{ctx}: backend findings diverge"
-    );
-    assert_eq!(linear.recount, rtree.recount, "{ctx}: recounts diverge");
-    assert_eq!(
-        linear.nets_audited, rtree.nets_audited,
-        "{ctx}: audited-net counts diverge"
-    );
-}
-
-/// Clean solutions across the bench suite and both presets: the two
-/// backends agree bit for bit (and find nothing).
+/// An off-pin via and a vertical wire riding a stitching line, injected
+/// together into one net: each is reported once, at its own site.
 #[test]
-fn backend_equivalence_on_clean_bench_suite() {
-    for name in ["S5378", "S9234", "S13207"] {
-        let circuit = BenchmarkSpec::by_name(name)
-            .expect("known benchmark")
-            .generate(&GenerateConfig::quick(2));
-        for config in [RouterConfig::stitch_aware(), RouterConfig::baseline()] {
-            let outcome = routed(&circuit, &config);
-            assert_backends_agree(&circuit, &config, &outcome, name);
-        }
-    }
-}
-
-/// Defective solutions: inject one representative of each scan-heavy
-/// defect class and require identical findings from both backends.
-#[test]
-fn backend_equivalence_on_injected_defects() {
-    // Off-pin via on a stitching line.
+fn mutation_line_defects_are_located() {
     let (circuit, config, mut outcome) = mutated_base();
     let net = pick_routed_net(&circuit, &outcome);
     let line = outcome.plan.lines()[0];
-    let y = (circuit.outline().y0()..=circuit.outline().y1())
+    let y0 = circuit.outline().y0();
+    let y = (y0..=circuit.outline().y1())
         .find(|&y| {
             circuit.nets()[net]
                 .pins()
@@ -272,19 +228,40 @@ fn backend_equivalence_on_injected_defects() {
         })
         .expect("some line cell is pin-free");
     outcome.detailed.geometry[net].push_via(Via::new(line, y, Layer::new(0)));
-    outcome.detailed.geometry[net].push_segment(Segment::vertical(
-        Layer::new(1),
-        line,
-        circuit.outline().y0(),
-        circuit.outline().y0() + 3,
-    ));
+    outcome.detailed.geometry[net].push_segment(Segment::vertical(Layer::new(1), line, y0, y0 + 3));
     let audit = audit_outcome(&circuit, &config, &outcome);
-    assert!(!audit.is_clean(), "defects must register");
-    assert_backends_agree(&circuit, &config, &outcome, "line defects");
+    let sites = |kind| -> Vec<Option<Point>> { audit.of_kind(kind).map(|f| f.location).collect() };
+    assert_eq!(
+        sites(FindingKind::OffPinViaOnLine),
+        vec![Some(Point::new(line, y))],
+        "{:#?}",
+        audit.findings
+    );
+    assert_eq!(
+        sites(FindingKind::VerticalRideOnLine),
+        vec![Some(Point::new(line, y0))],
+        "{:#?}",
+        audit.findings
+    );
+}
 
-    // Geometry crossing a blockage the circuit gained after routing:
-    // re-home the solution onto a copy of the circuit that declares a
-    // keep-out right on top of some routed net's wire.
+/// A copy of `circuit` that also declares `blockages`, as if an ECO had
+/// added keep-outs after routing: a solution of `circuit` audits against
+/// it unchanged.
+fn with_blockages(circuit: &Circuit, blockages: Vec<Rect>) -> Circuit {
+    Circuit::with_blockages(
+        circuit.name().to_string(),
+        circuit.outline(),
+        circuit.layer_count(),
+        circuit.nets().to_vec(),
+        blockages,
+    )
+}
+
+/// A one-cell blockage dropped on a routed wire's end is reported
+/// against that segment.
+#[test]
+fn mutation_segment_on_blockage_is_detected() {
     let (circuit, config, outcome) = mutated_base();
     let net = pick_routed_net(&circuit, &outcome);
     let seg = outcome.detailed.geometry[net]
@@ -294,19 +271,34 @@ fn backend_equivalence_on_injected_defects() {
         .copied()
         .expect("routed net has a horizontal segment");
     let (a, _) = seg.endpoints();
-    let rect = mebl_geom::Rect::new(a.x, a.y, a.x, a.y);
-    let blocked = Circuit::with_blockages(
-        circuit.name().to_string(),
-        circuit.outline(),
-        circuit.layer_count(),
-        circuit.nets().to_vec(),
-        vec![rect],
-    );
+    let blocked = with_blockages(&circuit, vec![Rect::from_point(a)]);
     let audit = audit_outcome(&blocked, &config, &outcome);
     assert!(
-        audit.of_kind(FindingKind::GeometryOnBlockage).count() >= 1,
+        audit
+            .of_kind(FindingKind::GeometryOnBlockage)
+            .any(|f| f.location == Some(a) && f.detail.starts_with("segment")),
         "{:#?}",
         audit.findings
     );
-    assert_backends_agree(&blocked, &config, &outcome, "blockage defect");
+}
+
+/// A one-cell blockage dropped on a routed via is reported against the
+/// via itself, not only against the wires that meet there.
+#[test]
+fn mutation_via_in_blockage_is_detected() {
+    let (circuit, config, outcome) = mutated_base();
+    let net = pick_routed_net(&circuit, &outcome);
+    let via = *outcome.detailed.geometry[net]
+        .vias()
+        .first()
+        .expect("routed net has a via");
+    let blocked = with_blockages(&circuit, vec![Rect::from_point(via.point())]);
+    let audit = audit_outcome(&blocked, &config, &outcome);
+    assert!(
+        audit
+            .of_kind(FindingKind::GeometryOnBlockage)
+            .any(|f| f.location == Some(via.point()) && f.detail.contains("via")),
+        "{:#?}",
+        audit.findings
+    );
 }

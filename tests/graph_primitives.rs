@@ -6,9 +6,7 @@
 //! Hungarian assignment solver (permutation validity, brute-force
 //! optimality), and the dense-grid search primitives behind the Dial
 //! detailed router: [`BucketQueue`] against a reference binary heap,
-//! [`GridWindow`] clamping, and grid node/coordinate round-trips; plus
-//! the `mebl-geom` R-tree spatial index (the delta router's conflict
-//! index and the auditor's scan backend) against brute-force oracles.
+//! [`GridWindow`] clamping, and grid node/coordinate round-trips.
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, BTreeMap};
@@ -20,7 +18,7 @@ use mebl_graph::{
     MinCostFlow, WeightedInterval,
 };
 use mebl_testkit::prop::{ints, vecs};
-use mebl_testkit::{prop_assert, prop_assert_eq, prop_check, Rng, SplitMix64};
+use mebl_testkit::{prop_assert, prop_assert_eq, prop_check};
 
 #[test]
 fn mcmf_known_answer_from_docs() {
@@ -436,163 +434,4 @@ fn prop_grid_node_point_round_trip() {
             }
         }
     );
-}
-
-// ---------------------------------------------------------------------
-// R-tree spatial index (mebl-geom): the delta router's conflict index
-// and the auditor's scan backend. Each property is checked against a
-// brute-force oracle over the same item set.
-// ---------------------------------------------------------------------
-
-/// Seeded random rectangle inside a ±200 coordinate window.
-fn random_rect(rng: &mut SplitMix64) -> Rect {
-    let x0 = rng.gen_range(-200i32..=200);
-    let y0 = rng.gen_range(-200i32..=200);
-    Rect::new(x0, y0, x0 + rng.gen_range(0i32..=40), y0 + rng.gen_range(0i32..=40))
-}
-
-/// Squared Euclidean distance from `p` to the nearest point of `r`
-/// (zero inside) — the metric `RTree::nearest` documents.
-fn oracle_dist2(r: Rect, p: mebl_geom::Point) -> u128 {
-    let axis = |lo: i32, hi: i32, c: i32| -> u128 {
-        let d = if c < lo {
-            i64::from(lo) - i64::from(c)
-        } else if c > hi {
-            i64::from(c) - i64::from(hi)
-        } else {
-            0
-        };
-        (d as u128) * (d as u128)
-    };
-    axis(r.x0(), r.x1(), p.x) + axis(r.y0(), r.y1(), p.y)
-}
-
-/// FNV-1a over an R-tree's deterministic pre-order traversal.
-fn rtree_fingerprint(tree: &mebl_geom::RTree<u32>) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for (r, &id) in tree.traversal() {
-        for c in [r.x0(), r.y0(), r.x1(), r.y1(), id as i32] {
-            for b in c.to_le_bytes() {
-                h ^= u64::from(b);
-                h = h.wrapping_mul(0x0000_0100_0000_01b3);
-            }
-        }
-    }
-    h
-}
-
-/// `query` returns exactly the overlapping subset a linear scan finds,
-/// and `nearest` matches the oracle's minimum distance — on random item
-/// sets under both bulk load and one-by-one insertion.
-#[test]
-fn rtree_query_and_nearest_match_brute_force() {
-    for seed in 0..8u64 {
-        let mut rng = SplitMix64::from_seed(0x57ae_e000 + seed);
-        let n = rng.gen_range(1usize..=120);
-        let items: Vec<(Rect, u32)> =
-            (0..n as u32).map(|id| (random_rect(&mut rng), id)).collect();
-
-        let bulk = mebl_geom::RTree::bulk_load(items.clone());
-        let mut grown = mebl_geom::RTree::new();
-        for (r, id) in &items {
-            grown.insert(*r, *id);
-        }
-        assert_eq!(bulk.len(), items.len());
-        assert_eq!(grown.len(), items.len());
-
-        for _ in 0..30 {
-            let window = random_rect(&mut rng);
-            let mut expect: Vec<u32> = items
-                .iter()
-                .filter(|(r, _)| r.overlaps(window))
-                .map(|(_, id)| *id)
-                .collect();
-            expect.sort_unstable();
-            for tree in [&bulk, &grown] {
-                let mut got: Vec<u32> =
-                    tree.query(window).into_iter().map(|(_, &id)| id).collect();
-                got.sort_unstable();
-                assert_eq!(got, expect, "seed {seed}: query window {window:?}");
-            }
-
-            let p = mebl_geom::Point::new(
-                rng.gen_range(-250i32..=250),
-                rng.gen_range(-250i32..=250),
-            );
-            let best = items.iter().map(|(r, _)| oracle_dist2(*r, p)).min();
-            for tree in [&bulk, &grown] {
-                let got = tree.nearest(p).map(|(r, _)| oracle_dist2(r, p));
-                assert_eq!(got, best, "seed {seed}: nearest to {p:?}");
-            }
-        }
-    }
-}
-
-/// Inserting then removing a random subset leaves exactly the
-/// complement behind, with removal reporting hits and misses honestly.
-#[test]
-fn rtree_insert_remove_round_trip() {
-    for seed in 0..6u64 {
-        let mut rng = SplitMix64::from_seed(0x57ae_e100 + seed);
-        let n = rng.gen_range(1usize..=100);
-        let items: Vec<(Rect, u32)> =
-            (0..n as u32).map(|id| (random_rect(&mut rng), id)).collect();
-        let mut tree = mebl_geom::RTree::bulk_load(items.clone());
-
-        let mut order: Vec<usize> = (0..items.len()).collect();
-        rng.shuffle(&mut order);
-        let victims = &order[..items.len() / 2];
-        for &i in victims {
-            let (r, id) = items[i];
-            assert!(tree.remove(r, &id), "seed {seed}: live item {id} not removed");
-            assert!(!tree.remove(r, &id), "seed {seed}: item {id} removed twice");
-        }
-        assert_eq!(tree.len(), items.len() - victims.len());
-
-        let everything = Rect::new(-500, -500, 500, 500);
-        let mut got: Vec<u32> = tree
-            .query(everything)
-            .into_iter()
-            .map(|(_, &id)| id)
-            .collect();
-        got.sort_unstable();
-        let mut expect: Vec<u32> = (0..items.len())
-            .filter(|i| !victims.contains(i))
-            .map(|i| items[i].1)
-            .collect();
-        expect.sort_unstable();
-        assert_eq!(got, expect, "seed {seed}: survivors disagree");
-
-        // Survivors can be re-removed down to empty.
-        for i in (0..items.len()).filter(|i| !victims.contains(i)) {
-            let (r, id) = items[i];
-            assert!(tree.remove(r, &id));
-        }
-        assert!(tree.is_empty());
-    }
-}
-
-/// Bulk loading the same item list always produces the same structure:
-/// the pre-order traversal fingerprint is identical across repeated
-/// loads, and matches the traversal of a clone built from the same
-/// input. (The delta router's determinism contract leans on this.)
-#[test]
-fn rtree_bulk_load_is_deterministic() {
-    for seed in 0..4u64 {
-        let mut rng = SplitMix64::from_seed(0x57ae_e200 + seed);
-        let n = rng.gen_range(1usize..=200);
-        let items: Vec<(Rect, u32)> =
-            (0..n as u32).map(|id| (random_rect(&mut rng), id)).collect();
-        let fp: Vec<u64> = (0..3)
-            .map(|_| rtree_fingerprint(&mebl_geom::RTree::bulk_load(items.clone())))
-            .collect();
-        assert_eq!(fp[0], fp[1], "seed {seed}");
-        assert_eq!(fp[1], fp[2], "seed {seed}");
-        // The traversal covers every item exactly once.
-        let tree = mebl_geom::RTree::bulk_load(items.clone());
-        let mut ids: Vec<u32> = tree.traversal().into_iter().map(|(_, &id)| id).collect();
-        ids.sort_unstable();
-        let expect: Vec<u32> = (0..n as u32).collect();
-        assert_eq!(ids, expect, "seed {seed}: traversal lost or duplicated items");
-    }
 }

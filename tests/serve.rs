@@ -509,10 +509,14 @@ fn inline_text_of_a_benchmark_does_not_alias_its_cache_entry() {
     });
 }
 
-/// Routes 84 of its 85 nets, leaving one `search-exhausted` record, at
-/// every thread count.
-fn search_exhausted_payload(threads: usize, extra: &str) -> String {
-    format!("{{\"bench\":\"Struct\",\"seed\":21,\"scale\":0.0442,\"threads\":{threads}{extra}}}")
+/// Routes 3 of its 4 nets, leaving one `search-exhausted` record, at
+/// every thread count: blockages ring one pin on every layer, so no
+/// router can reach it.
+const SEALED_PIN: &str = include_str!("data/sealed_pin.txt");
+
+fn sealed_pin_payload(threads: usize, extra: &str) -> String {
+    let circuit = Json::Str(SEALED_PIN.to_string()).encode();
+    format!("{{\"circuit\":{circuit},\"threads\":{threads}{extra}}}")
 }
 
 /// An unbudgeted degraded result is a pure function of its request
@@ -528,7 +532,7 @@ fn unbudgeted_degraded_results_are_cached() {
     };
     with_server(uncached, |client, _| {
         let r = client
-            .post_json("/route", &search_exhausted_payload(4, ""))
+            .post_json("/route", &sealed_pin_payload(4, ""))
             .expect("4-thread route");
         assert_eq!(r.header("x-cache"), Some("miss"));
         *wide.lock().expect("wide") = r.body;
@@ -536,13 +540,13 @@ fn unbudgeted_degraded_results_are_cached() {
 
     let report = with_server(ServeConfig::default(), |client, _| {
         let cold = client
-            .post_json("/route", &search_exhausted_payload(1, ""))
+            .post_json("/route", &sealed_pin_payload(1, ""))
             .expect("cold route");
         assert_eq!(cold.status, 200, "{}", cold.body_text());
         assert_eq!(cold.header("x-cache"), Some("miss"));
         let text = cold.body_text();
         assert!(text.contains("\"status\":\"degraded\""), "{text}");
-        assert!(text.contains("\"routed_nets\":84"), "{text}");
+        assert!(text.contains("\"routed_nets\":3"), "{text}");
         assert_eq!(text.matches("search-exhausted").count(), 1, "{text}");
         assert_eq!(
             cold.body,
@@ -552,13 +556,13 @@ fn unbudgeted_degraded_results_are_cached() {
 
         for threads in [1, 4] {
             let warm = client
-                .post_json("/route", &search_exhausted_payload(threads, ""))
+                .post_json("/route", &sealed_pin_payload(threads, ""))
                 .expect("warm route");
             assert_eq!(warm.header("x-cache"), Some("hit"), "threads {threads}");
             assert_eq!(warm.body, cold.body, "threads {threads}");
         }
 
-        let budgeted = search_exhausted_payload(1, ",\"max_expansions\":2000");
+        let budgeted = sealed_pin_payload(1, ",\"max_expansions\":1000");
         for _ in 0..2 {
             let r = client
                 .post_json("/route", &budgeted)

@@ -9,7 +9,7 @@
 
 use mebl_bench::Options;
 use mebl_netlist::BenchmarkSpec;
-use mebl_route::{Router, RouterConfig};
+use mebl_route::{Router, RouterConfig, StitchConfig};
 
 fn main() {
     let mut opt = Options::parse(std::env::args().skip(1));
@@ -28,10 +28,11 @@ fn main() {
     println!("1) stitch period sweep (tile size follows the period)");
     println!("{:>8} {:>8} {:>10} {:>6} {:>6}", "period", "#lines", "Rout.(%)", "#SP", "#VV");
     for period in [10, 15, 20, 30] {
-        let mut config = RouterConfig::stitch_aware();
-        config.stitch.period = period;
-        config.global.tile_size = period;
-        let out = Router::new(config).route(&circuit);
+        let stitch = StitchConfig {
+            period,
+            ..StitchConfig::default()
+        };
+        let out = Router::new(RouterConfig::preset(false, stitch)).route(&circuit);
         println!(
             "{:>8} {:>8} {:>10.2} {:>6} {:>6}",
             period,

@@ -28,7 +28,7 @@
 //! `listening on <addr>` on stdout, then drains gracefully when stdin
 //! closes or `POST /shutdown` arrives.
 
-use mebl_route::{Pool, RouteError, Router, RouterConfig, RunBudget};
+use mebl_route::{Pool, RouteError, Router, RouterConfig, RunBudget, StitchConfig};
 use mebl_serve::api::{audit_response_json, error_json, route_response_json, Mode};
 use mebl_serve::{FsyncPolicy, ServeConfig, Server};
 use std::io::{Read, Write};
@@ -252,23 +252,24 @@ impl RunFlags {
     }
 
     fn router_config(&self) -> RouterConfig {
-        let mut config = if self.baseline {
-            RouterConfig::baseline()
-        } else {
-            RouterConfig::stitch_aware()
-        };
+        let mut stitch = StitchConfig::default();
         if let Some(p) = self.period {
-            config.stitch.period = p;
-            config.global.tile_size = p;
+            stitch.period = p;
         }
-        config.budget = self.budget;
-        // The CLI defaults to all available cores; the library default
-        // stays serial. Output is bit-identical either way.
-        config.pool = match self.threads {
+        RouterConfig {
+            budget: self.budget,
+            pool: self.pool(),
+            ..RouterConfig::preset(self.baseline, stitch)
+        }
+    }
+
+    /// The CLI defaults to all available cores; the library default
+    /// stays serial. Output is bit-identical either way.
+    fn pool(&self) -> Pool {
+        match self.threads {
             Some(n) => Pool::new(n),
             None => Pool::available(),
-        };
-        config
+        }
     }
 
     fn mode_name(&self) -> &'static str {
@@ -344,16 +345,7 @@ fn cmd_audit(args: &[String]) -> Result<Outcome, CliError> {
     }
     let outcome = match router.try_route(&circuit) {
         Ok(outcome) => outcome,
-        Err(e @ RouteError::BudgetExhausted) => {
-            // The input was fine and a bigger budget would succeed:
-            // same exit class as a degraded run.
-            if flags.json {
-                println!("{}", error_json("budget-exhausted", &e.to_string()).encode());
-            }
-            eprintln!("degraded: {e}");
-            return Ok(Outcome::Degraded);
-        }
-        Err(e) => return Err(map_route_error(e)),
+        Err(e) => return route_failure(e, flags.json),
     };
     for d in &outcome.degradations {
         eprintln!("degraded: {d}");
@@ -449,13 +441,7 @@ fn cmd_route(args: &[String]) -> Result<Outcome, CliError> {
             Err(
                 e @ (mebl_shard::ShardError::BudgetExhausted
                 | mebl_shard::ShardError::Panel { .. }),
-            ) => {
-                if flags.json {
-                    println!("{}", error_json("budget-exhausted", &e.to_string()).encode());
-                }
-                eprintln!("degraded: {e}");
-                return Ok(Outcome::Degraded);
-            }
+            ) => return Ok(no_result(&e, flags.json)),
             Err(mebl_shard::ShardError::InvalidConfig(msg)) => {
                 return Err(CliError::Usage(format!("route: {msg}")));
             }
@@ -470,14 +456,7 @@ fn cmd_route(args: &[String]) -> Result<Outcome, CliError> {
         }
         match router.try_route(&circuit) {
             Ok(outcome) => outcome,
-            Err(e @ RouteError::BudgetExhausted) => {
-                if flags.json {
-                    println!("{}", error_json("budget-exhausted", &e.to_string()).encode());
-                }
-                eprintln!("degraded: {e}");
-                return Ok(Outcome::Degraded);
-            }
-            Err(e) => return Err(map_route_error(e)),
+            Err(e) => return route_failure(e, flags.json),
         }
     };
     for d in &outcome.degradations {
@@ -554,11 +533,10 @@ fn cmd_route_delta(
         }
     };
 
-    let mut config = saved.config();
-    config.budget = flags.budget;
-    config.pool = match flags.threads {
-        Some(n) => Pool::new(n),
-        None => Pool::available(),
+    let config = RouterConfig {
+        budget: flags.budget,
+        pool: flags.pool(),
+        ..saved.config()
     };
     let mode = if saved.baseline {
         Mode::Baseline
@@ -931,17 +909,28 @@ fn load_circuit(path: &str) -> Result<mebl_netlist::Circuit, CliError> {
     mebl_netlist::circuit_from_str(&text).map_err(|e| CliError::Invalid(e.to_string()))
 }
 
-/// Maps a typed router failure onto the exit-code taxonomy
-/// (`BudgetExhausted` is handled by the callers — it exits 2).
-fn map_route_error(e: RouteError) -> CliError {
+/// Maps a typed router failure onto the exit-code taxonomy.
+fn route_failure(e: RouteError, json: bool) -> Result<Outcome, CliError> {
     match e {
-        RouteError::InvalidConfig(_) => CliError::Usage(e.to_string()),
+        RouteError::InvalidConfig(_) => Err(CliError::Usage(e.to_string())),
         RouteError::InvalidCircuit(ref issues) => {
             for issue in issues.iter().filter(|i| i.is_error()) {
                 eprintln!("  {issue}");
             }
-            CliError::Invalid(e.to_string())
+            Err(CliError::Invalid(e.to_string()))
         }
-        RouteError::BudgetExhausted => CliError::Invalid(e.to_string()),
+        RouteError::BudgetExhausted => Ok(no_result(&e, json)),
     }
+}
+
+/// A run that produced nothing for want of budget (or a sharded run
+/// whose panel failed): the input was fine and a bigger budget would
+/// succeed, so it exits like a degraded run, printing the service's
+/// error object with `--json`.
+fn no_result(e: &dyn std::fmt::Display, json: bool) -> Outcome {
+    if json {
+        println!("{}", error_json("budget-exhausted", &e.to_string()).encode());
+    }
+    eprintln!("degraded: {e}");
+    Outcome::Degraded
 }

@@ -193,16 +193,9 @@ struct Inner {
 /// never cancels, never records, and costs a single branch per check —
 /// so configs embedding a token behave identically when no budget is
 /// armed.
-///
-/// A token may additionally carry a *stage-local* deadline (see
-/// [`CancelToken::with_stage_deadline`]). A stage deadline trips
-/// [`is_cancelled`](CancelToken::is_cancelled) for that clone only and
-/// does not latch the shared flag, so later stages still get their
-/// share of the run.
 #[derive(Default, Clone)]
 pub struct CancelToken {
     inner: Option<Arc<Inner>>,
-    stage_deadline: Option<Arc<DeadlineProbe>>,
 }
 
 impl CancelToken {
@@ -227,25 +220,12 @@ impl CancelToken {
                 deadline,
                 events: Mutex::new(Vec::new()),
             })),
-            stage_deadline: None,
-        }
-    }
-
-    /// A clone of this token with an additional stage-local deadline.
-    ///
-    /// The stage deadline only affects clones derived from the
-    /// returned token; it never latches the shared cancelled flag.
-    #[must_use]
-    pub fn with_stage_deadline(&self, probe: DeadlineProbe) -> Self {
-        Self {
-            inner: self.inner.clone(),
-            stage_deadline: Some(Arc::new(probe)),
         }
     }
 
     /// Whether this token can ever cancel or record anything.
     pub fn is_inert(&self) -> bool {
-        self.inner.is_none() && self.stage_deadline.is_none()
+        self.inner.is_none()
     }
 
     /// Latches the token into the cancelled state.
@@ -273,41 +253,18 @@ impl CancelToken {
     /// leaves internally consistent state behind. Deadline probes are
     /// only sampled every [`PROBE_STRIDE`] polls.
     pub fn is_cancelled(&self) -> bool {
-        let latched = match &self.inner {
-            None => false,
-            Some(inner) => {
-                if inner.cancelled.load(Ordering::Relaxed) {
-                    true
-                } else if inner.deadline.is_some() {
-                    let polls = inner.polls.fetch_add(1, Ordering::Relaxed);
-                    polls % PROBE_STRIDE == 0 && inner.probe_deadline()
-                } else {
-                    false
-                }
-            }
-        };
-        if latched {
-            return true;
-        }
-        match &self.stage_deadline {
-            Some(probe) => probe(),
-            None => false,
-        }
+        self.inner
+            .as_ref()
+            .is_some_and(|inner| inner.cancelled.load(Ordering::Relaxed) || inner.sample_deadline())
     }
 
     /// Like [`is_cancelled`](Self::is_cancelled) but samples the
     /// deadline probe unconditionally. Used at stage boundaries where
     /// an accurate answer matters more than the clock read.
     pub fn is_cancelled_now(&self) -> bool {
-        if let Some(inner) = &self.inner {
-            if inner.cancelled.load(Ordering::Relaxed) || inner.probe_deadline() {
-                return true;
-            }
-        }
-        match &self.stage_deadline {
-            Some(probe) => probe(),
-            None => false,
-        }
+        self.inner
+            .as_ref()
+            .is_some_and(|inner| inner.cancelled.load(Ordering::Relaxed) || inner.probe_deadline())
     }
 
     /// Charges `n` units of search work (node expansions) against the
@@ -319,32 +276,18 @@ impl CancelToken {
     /// caller's loop rather than a cross-crate call.
     #[inline]
     pub fn charge_expansions(&self, n: u64) -> bool {
-        let latched = match &self.inner {
-            None => false,
-            Some(inner) => {
-                if inner.cancelled.load(Ordering::Relaxed) {
-                    true
-                } else {
-                    let total = inner.expansions.fetch_add(n, Ordering::Relaxed) + n;
-                    if total >= inner.expansion_cap {
-                        inner.latch(REASON_EXPANSIONS);
-                        true
-                    } else if inner.deadline.is_some() {
-                        let polls = inner.polls.fetch_add(1, Ordering::Relaxed);
-                        polls % PROBE_STRIDE == 0 && inner.probe_deadline()
-                    } else {
-                        false
-                    }
-                }
-            }
+        let Some(inner) = &self.inner else {
+            return false;
         };
-        if latched {
+        if inner.cancelled.load(Ordering::Relaxed) {
             return true;
         }
-        match &self.stage_deadline {
-            Some(probe) => probe(),
-            None => false,
+        let total = inner.expansions.fetch_add(n, Ordering::Relaxed) + n;
+        if total >= inner.expansion_cap {
+            inner.latch(REASON_EXPANSIONS);
+            return true;
         }
+        inner.sample_deadline()
     }
 
     /// Total expansions charged so far across all clones.
@@ -384,6 +327,15 @@ impl Inner {
         }
     }
 
+    /// Samples the deadline probe on every [`PROBE_STRIDE`]-th call;
+    /// latches on expiry.
+    #[inline]
+    fn sample_deadline(&self) -> bool {
+        self.deadline.is_some()
+            && self.polls.fetch_add(1, Ordering::Relaxed).is_multiple_of(PROBE_STRIDE)
+            && self.probe_deadline()
+    }
+
     /// Samples the deadline probe; latches on expiry.
     fn probe_deadline(&self) -> bool {
         match &self.deadline {
@@ -402,7 +354,6 @@ impl fmt::Debug for CancelToken {
             .field("armed", &self.inner.is_some())
             .field("cancelled", &self.reason())
             .field("expansions", &self.expansions())
-            .field("stage_deadline", &self.stage_deadline.is_some())
             .finish()
     }
 }
@@ -413,17 +364,11 @@ impl fmt::Debug for CancelToken {
 /// token's mutable state is part of the configuration.
 impl PartialEq for CancelToken {
     fn eq(&self, other: &Self) -> bool {
-        let inner_eq = match (&self.inner, &other.inner) {
+        match (&self.inner, &other.inner) {
             (None, None) => true,
             (Some(a), Some(b)) => Arc::ptr_eq(a, b),
             _ => false,
-        };
-        let stage_eq = match (&self.stage_deadline, &other.stage_deadline) {
-            (None, None) => true,
-            (Some(a), Some(b)) => Arc::ptr_eq(a, b),
-            _ => false,
-        };
-        inner_eq && stage_eq
+        }
     }
 }
 
@@ -481,17 +426,6 @@ mod tests {
         assert_eq!(token.reason(), Some(CancelReason::Deadline));
         // Once latched, even the rate-limited check reports it.
         assert!(token.is_cancelled());
-    }
-
-    #[test]
-    fn stage_deadline_does_not_latch_shared_flag() {
-        let token = CancelToken::armed(None, None);
-        let staged = token.with_stage_deadline(Box::new(|| true));
-        assert!(staged.is_cancelled());
-        assert!(staged.is_cancelled_now());
-        // The run-wide token is untouched.
-        assert!(!token.is_cancelled());
-        assert_eq!(token.reason(), None);
     }
 
     #[test]

@@ -13,15 +13,15 @@
 //! with the typed [`CoordError::NoWorkers`].
 
 use crate::client::{exchange, WorkerReply};
-use mebl_netlist::CircuitIssue;
-use mebl_par::Pool;
-use mebl_route::{CancelToken, RouteError, Router, RouterConfig, RunBudget};
-use mebl_serve::api::{error_json, route_response_json, JobRequest};
+use mebl_route::{CancelToken, RunBudget};
+use mebl_serve::api::{
+    circuit_error_response, error_json, route_response_json, JobError, JobRequest,
+};
 use mebl_serve::cache::fnv1a;
 use mebl_serve::http::Response;
 use mebl_serve::json::{self, Json};
 use mebl_serve::metrics::Counter;
-use mebl_shard::{merge_fragments, FragmentOutcome, ShardPlan};
+use mebl_shard::{FragmentOutcome, ShardError, ShardOptions};
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Duration;
@@ -66,6 +66,9 @@ impl Default for CoordConfig {
 /// Typed failures of coordinator dispatch.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum CoordError {
+    /// The sharded pre-flight refused the request before any panel was
+    /// dispatched; it answers exactly as a worker would.
+    Preflight(ShardError),
     /// Every worker is dead and a probe sweep revived none.
     NoWorkers,
     /// The request's budget ran out mid-dispatch.
@@ -83,6 +86,7 @@ pub enum CoordError {
 impl std::fmt::Display for CoordError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
+            CoordError::Preflight(e) => write!(f, "{e}"),
             CoordError::NoWorkers => f.write_str("no live workers remain"),
             CoordError::BudgetExhausted => f.write_str("dispatch budget exhausted"),
             CoordError::BadResponse { worker, detail } => {
@@ -93,6 +97,12 @@ impl std::fmt::Display for CoordError {
 }
 
 impl std::error::Error for CoordError {}
+
+impl From<ShardError> for CoordError {
+    fn from(e: ShardError) -> Self {
+        CoordError::Preflight(e)
+    }
+}
 
 /// Counters the coordinator's `/metrics` endpoint serializes.
 #[derive(Debug, Default)]
@@ -272,9 +282,9 @@ impl Coordinator {
                 return Response::json(400, error_json("bad-request", &detail).encode());
             }
         };
-        if job.shards.is_some() {
+        if let Some(opts) = job.shard_options(self.config.budget) {
             self.metrics.sharded_routes.inc();
-            self.route_sharded(&job)
+            self.route_sharded(&job, opts)
         } else {
             self.metrics.proxied.inc();
             let deadline = dispatch_deadline(&job.budget(self.config.budget));
@@ -283,16 +293,17 @@ impl Coordinator {
             let key = String::from_utf8_lossy(body).into_owned();
             match self.dispatch(&key, "POST", "/route", body, &deadline) {
                 Ok((_, reply)) => Response::json(reply.status, reply.body),
-                Err(e) => self.error_response(&e),
+                Err(e) => self.error_response(e),
             }
         }
     }
 
-    /// The sharded fan-out: split locally, route each panel on a hashed
-    /// worker via `POST /route/outcome`, merge locally. The final body
-    /// is byte-identical to what one worker's in-process sharded
-    /// `/route` would produce for the same request.
-    fn route_sharded(&self, job: &JobRequest) -> Response {
+    /// The sharded fan-out: `mebl_shard`'s driver with each panel routed
+    /// on a hashed worker via `POST /route/outcome`. Everything else —
+    /// circuit resolution, pre-flight, merge, error mapping — is a
+    /// worker's own, so the body, success or typed error, is
+    /// byte-identical to one worker's in-process sharded `/route`.
+    fn route_sharded(&self, job: &JobRequest, opts: ShardOptions) -> Response {
         // The placement fingerprint is this request's canonical cache
         // key — circuit source plus every result-affecting field — so it
         // is stable across coordinator restarts and derived exactly as a
@@ -303,70 +314,36 @@ impl Coordinator {
         });
         let (fingerprint, circuit) = match resolved {
             Ok(resolved) => resolved,
-            Err((kind @ "invalid-circuit", detail)) => {
-                return Response::json(422, error_json(kind, &detail).encode());
-            }
-            Err((kind, detail)) => {
-                return Response::json(400, error_json(kind, &detail).encode());
-            }
+            Err(e) => return circuit_error_response(e),
         };
-        let Some(opts) = job.shard_options(self.config.budget) else {
-            // Unreachable: `handle_route` only calls in when set.
-            return Response::json(
-                400,
-                error_json("bad-request", "missing `shards`").encode(),
-            );
+        // The ring is the fan-out: one panel in flight per worker.
+        let opts = ShardOptions {
+            shards: self.config.workers.len().max(1),
+            ..opts
         };
-        // Same pre-flight the in-process driver runs, so the error
-        // taxonomy matches a worker's byte for byte.
-        let stitch = opts.stitch();
-        let mut probe = if opts.baseline {
-            RouterConfig::baseline()
-        } else {
-            RouterConfig::stitch_aware()
-        };
-        probe.stitch = stitch;
-        probe.global.tile_size = stitch.period;
-        let issues = Router::new(probe).validate(&circuit);
-        if issues.iter().any(CircuitIssue::is_error) {
-            let e = RouteError::InvalidCircuit(issues);
-            return Response::json(422, error_json("invalid-circuit", &e.to_string()).encode());
-        }
-        if opts.budget.is_dead_on_arrival() {
-            return Response::json(
-                504,
-                error_json("budget-exhausted", "budget exhausted before routing").encode(),
-            );
-        }
-
-        let plan = ShardPlan::new(&circuit, stitch);
         let deadline = dispatch_deadline(&opts.budget);
-        let width = self.config.workers.len().min(plan.jobs.len()).max(1);
-        let pool = Pool::new(width);
-        let results: Vec<Result<FragmentOutcome, CoordError>> =
-            pool.par_map_indexed(plan.jobs.as_slice(), |_, panel| {
-                self.metrics.fragment_requests.inc();
-                let body = fragment_request(job, panel).encode();
-                let key = format!("{fingerprint:016x}/{}", panel.key);
-                let (addr, reply) =
-                    self.dispatch(&key, "POST", "/route/outcome", body.as_bytes(), &deadline)?;
-                parse_fragment(&reply, addr)
-            });
-        let mut fragments = Vec::with_capacity(results.len());
-        for r in results {
-            match r {
-                Ok(fragment) => fragments.push(fragment),
-                Err(e) => return self.error_response(&e),
+        let run = mebl_shard::route_sharded_with(&circuit, &opts, |panel| {
+            self.metrics.fragment_requests.inc();
+            let body = fragment_request(job, panel).encode();
+            let key = format!("{fingerprint:016x}/{}", panel.key);
+            let (addr, reply) =
+                self.dispatch(&key, "POST", "/route/outcome", body.as_bytes(), &deadline)?;
+            parse_fragment(&reply, addr)
+        });
+        match run {
+            Ok(run) => {
+                let body = route_response_json(job.circuit_name(), job.mode, &run.outcome, false);
+                Response::json(200, body.encode())
             }
+            Err(e) => self.error_response(e),
         }
-        let outcome = merge_fragments(&circuit, opts.baseline, &plan, &fragments);
-        let body = route_response_json(job.circuit_name(), job.mode, &outcome, false);
-        Response::json(200, body.encode())
     }
 
-    /// Maps a typed dispatch failure onto a wire response.
-    fn error_response(&self, e: &CoordError) -> Response {
+    /// Maps a typed dispatch failure onto a wire response. A refused
+    /// pre-flight answers through the workers' own mapping.
+    fn error_response(&self, e: CoordError) -> Response {
         match e {
+            CoordError::Preflight(e) => JobError::from(e).response(),
             CoordError::NoWorkers => {
                 Response::json(503, error_json("no-workers", &e.to_string()).encode())
             }
@@ -413,17 +390,17 @@ impl Coordinator {
 fn dispatch_deadline(budget: &RunBudget) -> CancelToken {
     RunBudget {
         time: budget.time,
-        stage_time: None,
         max_expansions: None,
     }
     .arm()
 }
 
 /// Builds the fragment request one panel routes under: the panel's
-/// circuit inline, the original mode, the panel's period (which couples
-/// into the worker's stitch geometry *and* global tile size — the same
-/// derivation `mebl_shard::fragment_config` applies in-process), one
-/// thread, and the original request's explicit budget fields.
+/// circuit inline, the original mode, the panel's period (which
+/// `RouterConfig::preset` couples into the worker's stitch geometry
+/// *and* global tile size, as it does for `mebl_shard::fragment_config`
+/// in-process), one thread, and the original request's explicit budget
+/// fields.
 fn fragment_request(job: &JobRequest, panel: &mebl_shard::PanelJob) -> Json {
     let mut pairs = vec![
         (

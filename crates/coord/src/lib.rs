@@ -7,9 +7,11 @@
 //! a stable panel key, so placement survives coordinator restarts and
 //! keeps every worker's cache and shared `--store` directory warm).
 //! Fragments travel over the worker wire schema — `POST /route/outcome`
-//! returns the canonical `meblout` text — and merge locally with
-//! `mebl_shard::merge_fragments`, so a coordinator-assembled `/route`
-//! body is byte-identical to one worker's in-process sharded run.
+//! returns the canonical `meblout` text. The coordinator runs the same
+//! driver a worker does (`mebl_shard::route_sharded_with`: pre-flight,
+//! split, fan-out, merge), passing its dispatch as the panel routine, so
+//! a coordinator-assembled `/route` body — or its typed pre-flight
+//! error — is byte-identical to one worker's in-process sharded run.
 //!
 //! Failure semantics are typed and bounded: a worker that fails a dial
 //! or an I/O deadline is marked dead and the panel re-dispatches to the

@@ -2,7 +2,7 @@
 //!
 //! A deliberately small server: one sequential accept loop (the real
 //! concurrency lives in the panel fan-out across *workers*, driven by
-//! `mebl-par` inside [`Coordinator::handle_route`]), the same
+//! `mebl_shard`'s driver inside [`Coordinator::handle_route`]), the same
 //! `Connection: close` framing as `mebl serve`, and four endpoints —
 //! `POST /route` (proxy or sharded fan-out), `GET /healthz`,
 //! `GET /metrics`, `POST /shutdown`.

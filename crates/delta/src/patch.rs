@@ -48,7 +48,7 @@ pub fn route_delta(
     edits: &[CircuitEdit],
     config: &RouterConfig,
 ) -> Result<DeltaOutcome, DeltaError> {
-    delta_impl(base, prior, edits, config, None)
+    route_delta_under(base, prior, edits, config, &CancelToken::inert())
 }
 
 /// [`route_delta`] with an external interrupt composed into the budget
@@ -64,16 +64,6 @@ pub fn route_delta_under(
     edits: &[CircuitEdit],
     config: &RouterConfig,
     interrupt: &CancelToken,
-) -> Result<DeltaOutcome, DeltaError> {
-    delta_impl(base, prior, edits, config, Some(interrupt))
-}
-
-fn delta_impl(
-    base: &Circuit,
-    prior: &RoutingOutcome,
-    edits: &[CircuitEdit],
-    config: &RouterConfig,
-    interrupt: Option<&CancelToken>,
 ) -> Result<DeltaOutcome, DeltaError> {
     let n = base.net_count();
     if prior.global.routes.len() != n {
@@ -131,16 +121,12 @@ fn delta_impl(
         ));
     }
 
-    let budget = config.budget;
-    let token = match interrupt {
-        Some(outer) => budget.arm_under(outer),
-        None => budget.arm(),
-    };
+    let token = config.budget.arm_under(interrupt);
     let mut timings = StageTimings::default();
 
     let t = Stopwatch::start();
     let mut global_config = config.global.clone();
-    global_config.cancel = budget.stage_scope(&token);
+    global_config.cancel = token.clone();
     global_config.pool = config.pool;
     let global = mebl_global::route_incremental(
         &edit_plan.circuit,
@@ -156,7 +142,7 @@ fn delta_impl(
 
     let t = Stopwatch::start();
     let mut detailed_config = config.detailed.clone();
-    detailed_config.cancel = budget.stage_scope(&token);
+    detailed_config.cancel = token.clone();
     detailed_config.pool = config.pool;
     let detailed = mebl_detailed::route_incremental(
         &edit_plan.circuit,

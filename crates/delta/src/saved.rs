@@ -26,18 +26,13 @@
 //! The track-assignment stage is intentionally not serialised: detailed
 //! geometry is the authoritative routed shape, the auditor never reads
 //! track state, and a delta run re-derives occupancy from geometry
-//! alone. Loaded outcomes carry an empty [`TrackResult`].
+//! alone. Loaded outcomes carry an empty `TrackResult`.
 
 use mebl_geom::{Layer, RouteGeometry, Segment, Via};
-use mebl_global::{GlobalConfig, GlobalRoute, TileId};
+use mebl_global::{GlobalRoute, TileId};
 use mebl_netlist::{circuit_from_str, circuit_to_string, Circuit};
-use mebl_route::{
-    build_report, Degradation, DegradationKind, RouterConfig, RoutingOutcome, Stage,
-    StageTimings,
-};
-use mebl_assign::TrackResult;
-use mebl_detailed::DetailedResult;
-use mebl_stitch::{StitchConfig, StitchPlan};
+use mebl_route::{Degradation, DegradationKind, RouterConfig, RoutingOutcome, Stage};
+use mebl_stitch::StitchConfig;
 use std::fmt::Write as _;
 
 /// A routing outcome bundled with the circuit it describes and the
@@ -55,20 +50,10 @@ pub struct SavedOutcome {
 
 impl SavedOutcome {
     /// The router configuration a delta run over this outcome should
-    /// start from: the saved mode's preset with the saved stitch
-    /// geometry installed.
+    /// start from: the saved mode's preset over the saved stitch
+    /// geometry, so a saved period override round-trips.
     pub fn config(&self) -> RouterConfig {
-        let mut config = if self.baseline {
-            RouterConfig::baseline()
-        } else {
-            RouterConfig::stitch_aware()
-        };
-        config.stitch = self.stitch_config();
-        // The period override contract couples tile size to the stitch
-        // period (`mebl route --period`, `/route` `period`); restore the
-        // same coupling so a saved override round-trips.
-        config.global.tile_size = config.stitch.period;
-        config
+        RouterConfig::preset(self.baseline, self.stitch_config())
     }
 
     fn stitch_config(&self) -> StitchConfig {
@@ -417,31 +402,10 @@ pub fn outcome_from_str(text: &str) -> Result<SavedOutcome, ParseOutcomeError> {
     let circuit = circuit.ok_or_else(|| err(0, "missing embedded circuit".to_string()))?;
     let stitch = stitch.ok_or_else(|| err(0, "missing stitch line".to_string()))?;
 
-    let plan = StitchPlan::new(circuit.outline(), stitch);
-    let mut global_config = if baseline {
-        GlobalConfig::baseline()
-    } else {
-        GlobalConfig::default()
-    };
-    global_config.tile_size = stitch.period;
-    global_config.pool = mebl_route::Pool::serial();
-    let global = mebl_global::rebuild_result(&circuit, &plan, &global_config, routes);
-    let routed_count = routed.iter().filter(|&&r| r).count();
-    let detailed = DetailedResult {
-        geometry,
-        routed,
-        routed_count,
-    };
-    let report = build_report(&circuit, &plan, &detailed, std::time::Duration::ZERO);
+    let config = RouterConfig::preset(baseline, stitch);
     let outcome = RoutingOutcome {
-        plan,
-        global,
-        tracks: TrackResult::default(),
-        detailed,
-        report,
-        timings: StageTimings::default(),
-        degradations,
         parallelism,
+        ..RoutingOutcome::rebuild(&circuit, &config, routes, geometry, routed, degradations)
     };
     Ok(SavedOutcome {
         circuit,

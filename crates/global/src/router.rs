@@ -9,6 +9,9 @@ use mebl_stitch::StitchPlan;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
+/// Negotiation-style rip-up/reroute passes after the initial pass.
+const REROUTE_PASSES: usize = 3;
+
 /// Configuration of the global routing stage.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct GlobalConfig {
@@ -22,8 +25,6 @@ pub struct GlobalConfig {
     /// Include the vertex (line-end congestion) term `ψv` in path costs —
     /// the switch studied in Table IV.
     pub line_end_cost: bool,
-    /// Negotiation-style rip-up/reroute passes after the initial pass.
-    pub reroute_passes: usize,
     /// Cooperative cancellation/budget handle. The inert default never
     /// fires; when armed (see `mebl-route`'s `RunBudget`), cancellation
     /// takes effect at net and pass boundaries so partial results stay
@@ -41,7 +42,6 @@ impl Default for GlobalConfig {
             tile_size: 15,
             stitch_aware_capacity: true,
             line_end_cost: true,
-            reroute_passes: 3,
             cancel: CancelToken::default(),
             pool: Pool::serial(),
         }
@@ -241,7 +241,7 @@ fn psi(demand: u32, capacity: u32) -> f64 {
 /// incremental route with nothing preserved.
 ///
 /// Nets are processed in bottom-up multilevel order (smallest bounding box
-/// first), then `config.reroute_passes` negotiation rounds rip up and
+/// first), then `REROUTE_PASSES` negotiation rounds rip up and
 /// reroute the nets crossing overflowed resources.
 pub fn route_circuit(
     circuit: &Circuit,
@@ -370,7 +370,7 @@ fn finish(
 }
 
 /// Negotiation rounds: penalise overflowed resources and rip up and
-/// reroute the nets crossing them, up to `config.reroute_passes` times
+/// reroute the nets crossing them, up to `REROUTE_PASSES` times
 /// or until nothing overflows.
 fn negotiate(
     circuit: &Circuit,
@@ -380,17 +380,13 @@ fn negotiate(
     order: &[usize],
     routes: &mut [GlobalRoute],
 ) {
-    for pass in 0..config.reroute_passes {
+    for pass in 0..REROUTE_PASSES {
         if config.cancel.is_cancelled_now() {
             config.cancel.record(Degradation::new(
                 Stage::Global,
                 DegradationKind::BudgetExhausted,
                 None,
-                format!(
-                    "negotiation passes {}..{} skipped",
-                    pass + 1,
-                    config.reroute_passes
-                ),
+                format!("negotiation passes {}..{REROUTE_PASSES} skipped", pass + 1),
             ));
             break;
         }

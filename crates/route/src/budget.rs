@@ -20,9 +20,6 @@ pub struct RunBudget {
     /// run starts; the single sanctioned clock site ([`Stopwatch`])
     /// keeps deadline probes out of the determinism-linted crates.
     pub time: Option<Duration>,
-    /// Wall-clock ceiling per pipeline stage. A stage that exceeds it
-    /// stops early without consuming the rest of the run's budget.
-    pub stage_time: Option<Duration>,
     /// Cap on total search-node expansions (global + detailed A\*).
     /// Deterministic, unlike wall-clock bounds — preferred in tests.
     pub max_expansions: Option<u64>,
@@ -52,28 +49,18 @@ impl RunBudget {
 
     /// Whether no bound is set.
     pub fn is_unlimited(&self) -> bool {
-        self.time.is_none() && self.stage_time.is_none() && self.max_expansions.is_none()
+        self.time.is_none() && self.max_expansions.is_none()
     }
 
     /// Whether the budget is spent before any work can happen.
     pub fn is_dead_on_arrival(&self) -> bool {
-        self.time == Some(Duration::ZERO)
-            || self.stage_time == Some(Duration::ZERO)
-            || self.max_expansions == Some(0)
+        self.time == Some(Duration::ZERO) || self.max_expansions == Some(0)
     }
 
-    /// Arms a run-wide [`CancelToken`] for this budget. The deadline
-    /// clock starts now.
-    ///
-    /// Public so out-of-crate drivers (e.g. the delta router) can run
-    /// individual stages under the same budget machinery the full flow
-    /// uses.
+    /// Arms a run-wide [`CancelToken`] for this budget alone: the
+    /// deadline clock starts now.
     pub fn arm(&self) -> CancelToken {
-        let deadline: Option<DeadlineProbe> = self.time.map(|limit| {
-            let sw = Stopwatch::start();
-            Box::new(move || sw.elapsed() >= limit) as DeadlineProbe
-        });
-        CancelToken::armed(self.max_expansions, deadline)
+        self.arm_under(&CancelToken::inert())
     }
 
     /// Arms a run-wide [`CancelToken`] that also honors an external
@@ -81,29 +68,27 @@ impl RunBudget {
     /// deadline passes or `interrupt` latches. A service uses this to
     /// compose server shutdown into every in-flight job without giving
     /// jobs a way to cancel each other — `interrupt` stays owned by the
-    /// caller; only its cancelled state is observed.
+    /// caller; only its cancelled state is observed. An inert
+    /// `interrupt` adds no probe, so an unbudgeted run arms a token
+    /// with no deadline at all. The deadline clock starts now.
+    ///
+    /// Public so out-of-crate drivers (e.g. the delta router) can run
+    /// individual stages under the same budget machinery the full flow
+    /// uses.
     pub fn arm_under(&self, interrupt: &CancelToken) -> CancelToken {
         let time_probe = self.time.map(|limit| {
             let sw = Stopwatch::start();
             move || sw.elapsed() >= limit
         });
-        let interrupt = interrupt.clone();
-        let probe: DeadlineProbe = Box::new(move || {
-            interrupt.is_cancelled_now() || time_probe.as_ref().is_some_and(|p| p())
-        });
-        CancelToken::armed(self.max_expansions, Some(probe))
-    }
-
-    /// Scopes `token` with this budget's per-stage deadline, if any.
-    /// The stage clock starts now.
-    pub fn stage_scope(&self, token: &CancelToken) -> CancelToken {
-        match self.stage_time {
-            Some(limit) => {
-                let sw = Stopwatch::start();
-                token.with_stage_deadline(Box::new(move || sw.elapsed() >= limit))
-            }
-            None => token.clone(),
-        }
+        let probe: Option<DeadlineProbe> = if interrupt.is_inert() {
+            time_probe.map(|p| Box::new(p) as DeadlineProbe)
+        } else {
+            let interrupt = interrupt.clone();
+            Some(Box::new(move || {
+                interrupt.is_cancelled_now() || time_probe.as_ref().is_some_and(|p| p())
+            }))
+        };
+        CancelToken::armed(self.max_expansions, probe)
     }
 }
 
@@ -183,15 +168,20 @@ mod tests {
     }
 
     #[test]
-    fn stage_scope_trips_only_the_scoped_clone() {
-        let budget = RunBudget {
-            stage_time: Some(Duration::ZERO),
-            ..RunBudget::default()
-        };
-        let token = budget.arm();
-        let staged = budget.stage_scope(&token);
-        assert!(staged.is_cancelled_now());
-        assert!(!token.is_cancelled_now());
+    fn arm_under_follows_a_live_interrupt_only() {
+        let free = RunBudget::default().arm_under(&CancelToken::inert());
+        assert!(!free.is_inert(), "an armed token still records");
+        assert!(!free.is_cancelled_now());
+
+        let outer = CancelToken::armed(None, None);
+        let run = RunBudget::default().arm_under(&outer);
+        assert!(!run.is_cancelled_now());
+        outer.cancel();
+        assert!(run.is_cancelled_now());
+        // Cancelling the run never latches the interrupt it observes.
+        let outer = CancelToken::armed(None, None);
+        RunBudget::default().arm_under(&outer).cancel();
+        assert!(!outer.is_cancelled_now());
     }
 
     #[test]

@@ -45,12 +45,13 @@ pub use report::{RouteReport, Stopwatch};
 
 use mebl_assign::{assign_tracks, extract_panels, TrackConfig, TrackResult};
 use mebl_detailed::{route_detailed, DetailedConfig, DetailedResult};
-use mebl_geom::Point;
-use mebl_global::{route_circuit, GlobalConfig, GlobalResult};
+use mebl_geom::{Point, RouteGeometry};
+use mebl_global::{route_circuit, GlobalConfig, GlobalResult, GlobalRoute};
 use mebl_netlist::{Circuit, CircuitIssue};
 use mebl_graph::FastSet;
 pub use mebl_par::Pool;
-use mebl_stitch::{StitchConfig, StitchPlan};
+pub use mebl_stitch::StitchConfig;
+use mebl_stitch::StitchPlan;
 use std::cell::OnceCell;
 
 /// Configuration of the full routing flow.
@@ -99,7 +100,6 @@ impl RouterConfig {
     /// legality.
     pub fn baseline() -> Self {
         Self {
-            stitch: StitchConfig::default(),
             global: GlobalConfig::baseline(),
             track: TrackConfig {
                 layer_mode: mebl_assign::LayerMode::MstBaseline,
@@ -107,9 +107,25 @@ impl RouterConfig {
                 ..TrackConfig::default()
             },
             detailed: DetailedConfig::without_stitch_consideration(),
-            budget: RunBudget::default(),
-            pool: Pool::serial(),
+            ..Self::stitch_aware()
         }
+    }
+
+    /// The baseline or stitch-aware preset over the stitch geometry
+    /// `stitch`, with the global tile sized to the stitch period so that
+    /// each tile column holds one stitching line (Fig. 7). Every driver
+    /// that derives a configuration from a mode and a period — the CLI,
+    /// the service's wire schema, panel fragments, saved and merged
+    /// outcomes — goes through here.
+    pub fn preset(baseline: bool, stitch: StitchConfig) -> Self {
+        let mut config = if baseline {
+            Self::baseline()
+        } else {
+            Self::stitch_aware()
+        };
+        config.stitch = stitch;
+        config.global.tile_size = stitch.period;
+        config
     }
 
     /// Returns this configuration with `budget` installed.
@@ -194,6 +210,46 @@ pub struct RoutingOutcome {
 }
 
 impl RoutingOutcome {
+    /// Rebuilds an outcome from its per-net parts: global routes, drawn
+    /// geometry, routed flags, and the degradations the run recorded.
+    /// Everything derived — the stitch plan, the tile graph with its
+    /// demands and metrics, the report — is recomputed under `config`,
+    /// so the published totals always equal the auditor's recount.
+    /// Tracks are an internal stage artifact and come back empty;
+    /// timings are zero and `parallelism` is 1.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `routes` does not hold one entry per net.
+    pub fn rebuild(
+        circuit: &Circuit,
+        config: &RouterConfig,
+        routes: Vec<GlobalRoute>,
+        geometry: Vec<RouteGeometry>,
+        routed: Vec<bool>,
+        degradations: Vec<Degradation>,
+    ) -> Self {
+        let plan = StitchPlan::new(circuit.outline(), config.stitch);
+        let global = mebl_global::rebuild_result(circuit, &plan, &config.global, routes);
+        let routed_count = routed.iter().filter(|&&r| r).count();
+        let detailed = DetailedResult {
+            geometry,
+            routed,
+            routed_count,
+        };
+        let report = build_report(circuit, &plan, &detailed, std::time::Duration::ZERO);
+        Self {
+            plan,
+            global,
+            tracks: TrackResult::default(),
+            detailed,
+            report,
+            timings: StageTimings::default(),
+            degradations,
+            parallelism: 1,
+        }
+    }
+
     /// Whether the run recorded any [`Degradation`]. A degraded outcome
     /// is still audit-clean — it just covers less than was asked for.
     pub fn is_degraded(&self) -> bool {
@@ -241,22 +297,9 @@ impl Router {
     /// [`Circuit::validate`] with error-severity issues, or a budget
     /// that is already spent on arrival. Anything less fatal routes and
     /// reports what was skipped via [`RoutingOutcome::degradations`].
+    /// This is [`Router::try_route_under`] with an inert interrupt.
     pub fn try_route(&self, circuit: &Circuit) -> Result<RoutingOutcome, RouteError> {
-        self.config.check_stitch()?;
-        let issues = self.validate(circuit);
-        if issues.iter().any(CircuitIssue::is_error) {
-            return Err(RouteError::InvalidCircuit(issues));
-        }
-        if self.config.budget.is_dead_on_arrival() {
-            return Err(RouteError::BudgetExhausted);
-        }
-        let token = self.config.budget.arm();
-        if token.is_cancelled_now() {
-            // A non-zero but too-tight deadline can expire between arming
-            // and the first stage; surface that as the same typed error.
-            return Err(RouteError::BudgetExhausted);
-        }
-        Ok(self.run_with(circuit, token))
+        self.try_route_under(circuit, &CancelToken::inert())
     }
 
     /// Like [`Router::try_route`], but the run additionally stops when
@@ -265,8 +308,7 @@ impl Router {
     ///
     /// `interrupt` is observed, never mutated: degradations recorded by
     /// the run land on the run's own token, and cancelling the run does
-    /// not latch `interrupt`. With an inert, never-cancelled interrupt
-    /// this is behaviorally identical to [`Router::try_route`].
+    /// not latch `interrupt`.
     pub fn try_route_under(
         &self,
         circuit: &Circuit,
@@ -282,7 +324,8 @@ impl Router {
         }
         let token = self.config.budget.arm_under(interrupt);
         if token.is_cancelled_now() {
-            // Already past the deadline, or the server is already
+            // A non-zero but too-tight deadline can expire between
+            // arming and the first stage, or the server is already
             // draining: same typed error either way.
             return Err(RouteError::BudgetExhausted);
         }
@@ -325,12 +368,11 @@ impl Router {
     fn run_with(&self, circuit: &Circuit, token: CancelToken) -> RoutingOutcome {
         let start = Stopwatch::start();
         let plan = StitchPlan::new(circuit.outline(), self.config.stitch);
-        let budget = self.config.budget;
         let mut timings = StageTimings::default();
 
         let t = Stopwatch::start();
         let mut global_config = self.config.global.clone();
-        global_config.cancel = budget.stage_scope(&token);
+        global_config.cancel = token.clone();
         global_config.pool = self.config.pool;
         let global = route_circuit(circuit, &plan, &global_config);
         timings.global = t.elapsed();
@@ -338,7 +380,7 @@ impl Router {
         let t = Stopwatch::start();
         let panels = extract_panels(&global);
         let mut track_config = self.config.track.clone();
-        track_config.cancel = budget.stage_scope(&token);
+        track_config.cancel = token.clone();
         track_config.pool = self.config.pool;
         let tracks = assign_tracks(
             &panels,
@@ -351,7 +393,7 @@ impl Router {
 
         let t = Stopwatch::start();
         let mut detailed_config = self.config.detailed.clone();
-        detailed_config.cancel = budget.stage_scope(&token);
+        detailed_config.cancel = token.clone();
         detailed_config.pool = self.config.pool;
         let detailed = route_detailed(circuit, &plan, &global.graph, &tracks, &detailed_config);
         timings.detailed = t.elapsed();
@@ -447,6 +489,22 @@ mod tests {
             aware.report.short_polygons,
             base.report.short_polygons
         );
+    }
+
+    #[test]
+    fn preset_sizes_the_tile_to_the_stitch_period() {
+        let stitch = StitchConfig::default();
+        assert_eq!(RouterConfig::preset(false, stitch), RouterConfig::stitch_aware());
+        assert_eq!(RouterConfig::preset(true, stitch), RouterConfig::baseline());
+        let wide = StitchConfig {
+            period: 40,
+            ..stitch
+        };
+        for baseline in [false, true] {
+            let config = RouterConfig::preset(baseline, wide);
+            assert_eq!(config.stitch, wide);
+            assert_eq!(config.global.tile_size, 40);
+        }
     }
 
     #[test]

@@ -10,12 +10,15 @@
 //! (wall-clock fields would break that contract).
 
 use crate::cache::{fnv1a, fnv1a_extend};
+use crate::http::Response;
 use crate::json::Json;
 use mebl_audit::{AuditReport, FindingKind};
 use mebl_netlist::{BenchmarkSpec, Circuit, GenerateConfig, GENERATOR_FINGERPRINT};
 use mebl_route::{
-    Degradation, DegradationKind, Pool, RouteReport, RouterConfig, RoutingOutcome, RunBudget,
+    Degradation, DegradationKind, RouteError, RouteReport, RouterConfig, RoutingOutcome,
+    RunBudget, StitchConfig,
 };
+use mebl_shard::ShardError;
 use std::borrow::Cow;
 use std::time::Duration;
 
@@ -239,24 +242,19 @@ impl JobRequest {
         }
         RunBudget {
             time: self.budget_ms.map(Duration::from_millis),
-            stage_time: None,
             max_expansions: self.max_expansions,
         }
     }
 
     /// Builds the router configuration for this job.
     pub fn router_config(&self, default_budget: RunBudget) -> RouterConfig {
-        let mut config = match self.mode {
-            Mode::StitchAware => RouterConfig::stitch_aware(),
-            Mode::Baseline => RouterConfig::baseline(),
-        };
+        let mut stitch = StitchConfig::default();
         if let Some(p) = self.period {
-            config.stitch.period = p;
-            config.global.tile_size = p;
+            stitch.period = p;
         }
-        config.budget = self.budget(default_budget);
-        config.pool = Pool::new(self.threads);
-        config
+        RouterConfig::preset(self.mode == Mode::Baseline, stitch)
+            .with_budget(self.budget(default_budget))
+            .with_threads(self.threads)
     }
 
     /// The sharded-run options for this job, when `shards` is set.
@@ -282,18 +280,78 @@ impl JobRequest {
     pub fn cache_key(&self, endpoint: &str, source: &str, default_budget: RunBudget) -> u64 {
         let budget = self.budget(default_budget);
         let canonical = format!(
-            "endpoint={endpoint};circuit={};mode={};period={:?};time_ms={:?};stage_ms={:?};exp={:?};strict={};sharded={}",
+            "endpoint={endpoint};circuit={};mode={};period={:?};time_ms={:?};exp={:?};strict={};sharded={}",
             self.circuit_name(),
             self.mode.name(),
             self.period,
             budget.time.map(|d| d.as_millis()),
-            budget.stage_time.map(|d| d.as_millis()),
             budget.max_expansions,
             self.strict,
             self.shards.is_some(),
         );
         fnv1a_extend(fnv1a(source.bytes()), canonical.bytes())
     }
+}
+
+/// Typed failure of one job execution: the router's own error
+/// taxonomy, a panel job inside a sharded run failing with one, or a
+/// delta job's edit list that does not apply.
+#[derive(Debug)]
+pub enum JobError {
+    /// The run could produce no result at all.
+    Route(RouteError),
+    /// A panel job of a sharded run failed.
+    Panel {
+        /// The panel's stable key.
+        key: String,
+        /// The underlying error, rendered.
+        detail: String,
+    },
+    /// A delta job's edit list does not apply.
+    Edits(String),
+}
+
+impl From<ShardError> for JobError {
+    fn from(e: ShardError) -> Self {
+        match e {
+            ShardError::InvalidConfig(d) => JobError::Route(RouteError::InvalidConfig(d)),
+            ShardError::InvalidCircuit(issues) => JobError::Route(RouteError::InvalidCircuit(issues)),
+            ShardError::BudgetExhausted => JobError::Route(RouteError::BudgetExhausted),
+            ShardError::Panel { key, detail } => JobError::Panel { key, detail },
+        }
+    }
+}
+
+impl JobError {
+    /// The typed error response this failure answers with. The daemon
+    /// and the coordinator both answer through here, so a sharded
+    /// pre-flight failure has the same status and body from either.
+    pub fn response(&self) -> Response {
+        let (status, kind, detail) = match self {
+            JobError::Route(RouteError::InvalidConfig(detail)) => {
+                (400, "invalid-config", detail.clone())
+            }
+            JobError::Route(e @ RouteError::InvalidCircuit(_)) => {
+                (422, "invalid-circuit", e.to_string())
+            }
+            JobError::Route(RouteError::BudgetExhausted) => {
+                (504, "budget-exhausted", "budget spent before routing".to_string())
+            }
+            JobError::Panel { key, detail } => {
+                (500, "panel-failed", format!("panel {key}: {detail}"))
+            }
+            JobError::Edits(detail) => (422, "invalid-edits", detail.clone()),
+        };
+        Response::json(status, error_json(kind, &detail).encode())
+    }
+}
+
+/// The typed answer for a circuit that cannot be named or built
+/// ([`JobRequest::circuit_source`], [`JobRequest::build_circuit`]):
+/// `422` for unparseable text, `400` for an unknown benchmark.
+pub fn circuit_error_response((kind, detail): (&str, String)) -> Response {
+    let status = if kind == "invalid-circuit" { 422 } else { 400 };
+    Response::json(status, error_json(kind, &detail).encode())
 }
 
 /// Encodes a [`RouteReport`] (timing included only when asked — server

@@ -37,7 +37,8 @@ pub mod json;
 pub mod metrics;
 
 use crate::api::{
-    audit_response_json, error_json, outcome_response_json, route_response_json, JobRequest,
+    audit_response_json, circuit_error_response, error_json, outcome_response_json,
+    route_response_json, JobError, JobRequest,
 };
 use crate::cache::{fnv1a_extend, ResultCache};
 use crate::delta::{canonical_edits, DeltaRequest, OutcomeCache, PriorOutcome};
@@ -94,9 +95,6 @@ pub struct ServeConfig {
     pub store_dir: Option<String>,
     /// When store appends are fsynced.
     pub store_fsync: FsyncPolicy,
-    /// Store auto-compaction threshold: dead-record percentage
-    /// (0 disables compaction).
-    pub store_compact_pct: u8,
     /// Fault hook for the supervision test: a job whose `seed` matches
     /// panics inside the worker instead of routing. Never set outside
     /// tests; not reachable from the CLI.
@@ -115,7 +113,6 @@ impl Default for ServeConfig {
             max_body: 4 << 20,
             store_dir: None,
             store_fsync: FsyncPolicy::Always,
-            store_compact_pct: 60,
             inject_panic_seed: None,
         }
     }
@@ -135,9 +132,12 @@ impl Default for ServeConfig {
 /// rip-up round, so a v3 record may hold a result in which that round
 /// recovered a net. v5: the blocker round soft-connects every
 /// connection of a walled-in net, so a v4 record may hold a result in
-/// which it dropped a net it now recovers.
+/// which it dropped a net it now recovers. v6: the per-stage budget is
+/// gone and the key lost its `stage_ms=` field. No request hashes to a
+/// v5 key any more, so old records could not answer one anyway; the
+/// bump keeps the tag naming the key scheme a record was written under.
 fn store_fingerprint() -> u64 {
-    mebl_store::fnv1a(b"mebl-serve stored-response v5")
+    mebl_store::fnv1a(b"mebl-serve stored-response v6")
 }
 
 /// Encodes a cacheable response for the store: status (u16 LE) ‖ body.
@@ -318,28 +318,6 @@ impl Endpoint {
     }
 }
 
-/// Typed failure of one job execution: the router's own error
-/// taxonomy, a panel job inside a sharded run failing with one, or a
-/// delta job's edit list that does not apply.
-enum JobError {
-    Route(RouteError),
-    Panel { key: String, detail: String },
-    Edits(String),
-}
-
-impl From<mebl_shard::ShardError> for JobError {
-    fn from(e: mebl_shard::ShardError) -> Self {
-        match e {
-            mebl_shard::ShardError::InvalidConfig(d) => JobError::Route(RouteError::InvalidConfig(d)),
-            mebl_shard::ShardError::InvalidCircuit(issues) => {
-                JobError::Route(RouteError::InvalidCircuit(issues))
-            }
-            mebl_shard::ShardError::BudgetExhausted => JobError::Route(RouteError::BudgetExhausted),
-            mebl_shard::ShardError::Panel { key, detail } => JobError::Panel { key, detail },
-        }
-    }
-}
-
 /// The routing service daemon.
 pub struct Server {
     listener: TcpListener,
@@ -356,7 +334,6 @@ impl Server {
             Some(dir) => {
                 let mut store_cfg = StoreConfig::new(dir.clone());
                 store_cfg.fsync = config.store_fsync;
-                store_cfg.compact_dead_pct = config.store_compact_pct;
                 let (store, _recovery) = Store::open_fs(store_cfg)
                     .map_err(|e| std::io::Error::other(format!("store at {dir}: {e}")))?;
                 Some(store)
@@ -676,17 +653,22 @@ impl Server {
         response.with_header("x-cache", "miss")
     }
 
-    /// The typed answer for a circuit that cannot be named or built:
-    /// `400` for an unknown benchmark, `422` for unparseable text.
-    fn circuit_error(&self, (kind, detail): (&'static str, String)) -> Response {
+    /// The typed answer for a circuit that cannot be named or built,
+    /// counted by its status.
+    fn circuit_error(&self, e: (&'static str, String)) -> Response {
+        self.count_refusal(circuit_error_response(e))
+    }
+
+    /// Counts a typed refusal by the status it answers with.
+    fn count_refusal(&self, response: Response) -> Response {
         let m = &self.shared.metrics;
-        if kind == "invalid-circuit" {
-            m.invalid_circuits.inc();
-            Response::json(422, error_json(kind, &detail).encode())
-        } else {
-            m.bad_requests.inc();
-            Response::json(400, error_json(kind, &detail).encode())
+        match response.status {
+            400 => m.bad_requests.inc(),
+            422 => m.invalid_circuits.inc(),
+            504 => m.budget_exhausted.inc(),
+            _ => m.internal_errors.inc(),
         }
+        response
     }
 
     /// Looks `key` up in both cache tiers: the memory LRU, then the
@@ -789,9 +771,9 @@ impl Server {
     }
 
     /// Maps one supervised job run to its response and whether it may be
-    /// cached: a panic, a failed panel or a typed routing error becomes
-    /// its error status, and a finished run a `200` counted clean or
-    /// degraded.
+    /// cached: a panic or a typed job error becomes its error status
+    /// ([`JobError::response`]), and a finished run a `200` counted
+    /// clean or degraded.
     fn respond(
         &self,
         result: Result<Result<(Json, bool), JobError>, String>,
@@ -810,31 +792,13 @@ impl Server {
                 m.worker_panics.inc();
                 refuse(500, "worker-panic", "job panicked; worker recovered")
             }
-            Ok(Err(JobError::Panel { key, detail })) => {
-                m.internal_errors.inc();
-                refuse(500, "panel-failed", &format!("panel {key}: {detail}"))
+            Ok(Err(JobError::Route(RouteError::BudgetExhausted)))
+                if interrupt.is_cancelled_now() =>
+            {
+                m.cancelled_by_shutdown.inc();
+                refuse(503, "shutting-down", "cancelled before routing started")
             }
-            Ok(Err(JobError::Edits(detail))) => {
-                m.invalid_circuits.inc();
-                refuse(422, "invalid-edits", &detail)
-            }
-            Ok(Err(JobError::Route(RouteError::InvalidConfig(detail)))) => {
-                m.bad_requests.inc();
-                refuse(400, "invalid-config", &detail)
-            }
-            Ok(Err(JobError::Route(e @ RouteError::InvalidCircuit(_)))) => {
-                m.invalid_circuits.inc();
-                refuse(422, "invalid-circuit", &e.to_string())
-            }
-            Ok(Err(JobError::Route(RouteError::BudgetExhausted))) => {
-                if interrupt.is_cancelled_now() {
-                    m.cancelled_by_shutdown.inc();
-                    refuse(503, "shutting-down", "cancelled before routing started")
-                } else {
-                    m.budget_exhausted.inc();
-                    refuse(504, "budget-exhausted", "budget spent before routing")
-                }
-            }
+            Ok(Err(e)) => (self.count_refusal(e.response()), false),
             Ok(Ok((body, degraded))) => {
                 if degraded {
                     m.degraded.inc();

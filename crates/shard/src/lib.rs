@@ -27,7 +27,8 @@ mod split;
 
 pub use merge::{merge_fragments, FragmentOutcome};
 pub use run::{
-    fragment_config, route_sharded, route_sharded_under, ShardError, ShardOptions, ShardedRun,
+    fragment_config, route_sharded, route_sharded_under, route_sharded_with, ShardError,
+    ShardOptions, ShardedRun,
 };
 pub use split::{Crossing, NetPlace, PanelJob, ShardPlan, MIN_FRAGMENT_PERIOD};
 

@@ -1,13 +1,13 @@
 //! Merging routed panel fragments back into one `RoutingOutcome`.
 //!
-//! The merged outcome is assembled exactly the way `mebl-delta` rebuilds
-//! a saved outcome: detailed geometry is the source of truth, the global
-//! result is re-derived as a pure function of (empty) per-net routes so
-//! the capacity audit holds by construction, tracks are an internal
-//! stage artifact and stay empty, and the report is recomputed with
-//! [`build_report`] so the published totals always equal the auditor's
-//! recount. Panel-internal global planning is *not* reconstructed — it
-//! served its purpose inside each fragment job.
+//! The merged outcome is assembled by [`RoutingOutcome::rebuild`], the
+//! function `mebl-delta` rebuilds a saved outcome with: detailed
+//! geometry is the source of truth, the global result is re-derived as
+//! a pure function of (empty) per-net routes so the capacity audit holds
+//! by construction, tracks stay empty, and the report is recomputed so
+//! the published totals always equal the auditor's recount.
+//! Panel-internal global planning is *not* reconstructed — it served its
+//! purpose inside each fragment job.
 //!
 //! Cut nets additionally get their seam **bridges** drawn (one
 //! three-cell horizontal layer-0 segment per reserved crossing) and
@@ -19,14 +19,11 @@
 use std::collections::BTreeMap;
 
 use crate::split::{NetPlace, ShardPlan};
-use mebl_assign::TrackResult;
 use mebl_control::{Degradation, DegradationKind, Stage};
-use mebl_detailed::DetailedResult;
 use mebl_geom::{GridPoint, Layer, RouteGeometry, Segment};
-use mebl_global::{GlobalConfig, GlobalRoute};
+use mebl_global::GlobalRoute;
 use mebl_netlist::{Circuit, Pin};
-use mebl_route::{build_report, RoutingOutcome, StageTimings};
-use mebl_stitch::StitchPlan;
+use mebl_route::{RouterConfig, RoutingOutcome};
 
 /// The slice of a fragment job's outcome that survives the merge.
 ///
@@ -122,37 +119,14 @@ pub fn merge_fragments(
         routed[i] = true;
     }
 
-    let plan = StitchPlan::new(circuit.outline(), shard_plan.stitch());
-    let mut global_config = if baseline {
-        GlobalConfig::baseline()
-    } else {
-        GlobalConfig::default()
-    };
-    global_config.tile_size = shard_plan.stitch().period;
-    global_config.pool = mebl_route::Pool::serial();
-    let global = mebl_global::rebuild_result(
+    RoutingOutcome::rebuild(
         circuit,
-        &plan,
-        &global_config,
+        &RouterConfig::preset(baseline, shard_plan.stitch()),
         vec![GlobalRoute::default(); n],
-    );
-    let routed_count = routed.iter().filter(|&&r| r).count();
-    let detailed = DetailedResult {
         geometry,
         routed,
-        routed_count,
-    };
-    let report = build_report(circuit, &plan, &detailed, std::time::Duration::ZERO);
-    RoutingOutcome {
-        plan,
-        global,
-        tracks: TrackResult::default(),
-        detailed,
-        report,
-        timings: StageTimings::default(),
         degradations,
-        parallelism: 1,
-    }
+    )
 }
 
 /// The auditor's electrical model: consecutive cells of one segment and

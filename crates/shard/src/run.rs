@@ -1,8 +1,10 @@
-//! The in-process sharded routing driver.
+//! The sharded routing driver.
 //!
-//! `route_sharded` is the `--shards <n>` entry point: decompose, route
-//! every panel as an ordinary job over the `mebl-par` pool, merge, and
-//! hand back a full-die [`RoutingOutcome`].
+//! `route_sharded_with` decomposes, routes every panel through the
+//! routine its caller passes over the `mebl-par` pool, merges, and
+//! hands back a full-die [`RoutingOutcome`]. `route_sharded` (the
+//! `--shards <n>` entry point) routes each panel in process; the
+//! coordinator passes its worker dispatch instead.
 //!
 //! Determinism contract: the panel decomposition is a pure function of
 //! `(circuit, stitch config)` and each panel routes with a serial
@@ -15,7 +17,7 @@
 //! applies per fragment.
 
 use crate::merge::{merge_fragments, FragmentOutcome};
-use crate::split::ShardPlan;
+use crate::split::{PanelJob, ShardPlan};
 use mebl_geom::Coord;
 use mebl_netlist::{Circuit, CircuitIssue};
 use mebl_par::Pool;
@@ -106,30 +108,23 @@ pub struct ShardedRun {
     pub shards: usize,
 }
 
-/// The exact configuration one panel job routes with: the same
-/// derivation the serve wire schema applies to a fragment request
-/// (`mode` preset, `period` coupled into both the stitch geometry and
-/// the global tile size, serial pool), so in-process fragments and
-/// worker-routed fragments are the same computation.
+/// The exact configuration one panel job routes with: the mode's
+/// preset over the panel's period ([`RouterConfig::preset`] couples it
+/// into the global tile size) on a serial pool — the same derivation
+/// the serve wire schema applies to a fragment request, so in-process
+/// fragments and worker-routed fragments are the same computation.
 pub fn fragment_config(baseline: bool, period: Coord, budget: RunBudget) -> RouterConfig {
-    let mut config = if baseline {
-        RouterConfig::baseline()
-    } else {
-        RouterConfig::stitch_aware()
+    let stitch = StitchConfig {
+        period,
+        ..StitchConfig::default()
     };
-    config.stitch.period = period;
-    config.global.tile_size = period;
-    config.budget = budget;
-    config.pool = Pool::serial();
-    config
+    RouterConfig::preset(baseline, stitch).with_budget(budget)
 }
 
 /// Splits `circuit` at its stitch boundaries, routes every panel, and
 /// merges the fragments into one audited-shape outcome.
 pub fn route_sharded(circuit: &Circuit, opts: &ShardOptions) -> Result<ShardedRun, ShardError> {
-    // Armed but boundless: cancellable in principle, never cancelled —
-    // behaviorally identical to running without an interrupt.
-    route_sharded_under(circuit, opts, &CancelToken::armed(None, None))
+    route_sharded_under(circuit, opts, &CancelToken::inert())
 }
 
 /// Like [`route_sharded`], but every panel job additionally stops when
@@ -140,6 +135,61 @@ pub fn route_sharded_under(
     opts: &ShardOptions,
     interrupt: &CancelToken,
 ) -> Result<ShardedRun, ShardError> {
+    route_sharded_with(circuit, opts, |job| {
+        Router::new(fragment_config(opts.baseline, job.period, opts.budget))
+            .try_route_under(&job.circuit, interrupt)
+            .map(|outcome| FragmentOutcome::from_outcome(&outcome))
+            .map_err(|e| ShardError::Panel {
+                key: job.key.clone(),
+                detail: e.to_string(),
+            })
+    })
+}
+
+/// The one sharded driver: pre-flight, split, route every panel with
+/// `route_panel` over a pool `opts.shards` wide (clamped to the panel
+/// count), then either the first failed panel's error in job order or
+/// the merge.
+/// [`route_sharded_under`] passes an in-process router; the coordinator
+/// passes its worker dispatch, so both run the same checks in the same
+/// order and the same merge.
+///
+/// # Errors
+///
+/// A failed pre-flight comes back as `E::from` the [`ShardError`]
+/// before any panel routes; otherwise the first panel error in job
+/// order.
+pub fn route_sharded_with<E, F>(
+    circuit: &Circuit,
+    opts: &ShardOptions,
+    route_panel: F,
+) -> Result<ShardedRun, E>
+where
+    E: From<ShardError> + Send,
+    F: Fn(&PanelJob) -> Result<FragmentOutcome, E> + Sync,
+{
+    preflight(circuit, opts)?;
+    let plan = ShardPlan::new(circuit, opts.stitch());
+    let width = opts.shards.min(plan.jobs.len()).max(1);
+    let fragments = Pool::new(width)
+        .par_map_indexed(&plan.jobs, |_, job| route_panel(job))
+        .into_iter()
+        .collect::<Result<Vec<_>, E>>()?;
+    let outcome = merge_fragments(circuit, opts.baseline, &plan, &fragments);
+    Ok(ShardedRun {
+        outcome,
+        jobs: plan.jobs.len(),
+        cut_nets: plan.cut_net_count(),
+        residual_nets: plan.residual_net_count(),
+        shards: width,
+    })
+}
+
+/// The checks a sharded run passes before it splits: usable options,
+/// a circuit valid against the *monolithic* stitch geometry (pins on
+/// stitching lines are warnings there and land in the residual panel
+/// here; errors stay errors), and a budget not spent on arrival.
+fn preflight(circuit: &Circuit, opts: &ShardOptions) -> Result<(), ShardError> {
     if opts.shards == 0 {
         return Err(ShardError::InvalidConfig(
             "shard count must be at least 1".to_string(),
@@ -152,48 +202,12 @@ pub fn route_sharded_under(
             stitch.period
         )));
     }
-    // Pre-flight against the *monolithic* stitch geometry: pins on
-    // stitching lines are warnings there (they land in the residual
-    // panel here), errors stay errors.
-    let mut probe = if opts.baseline {
-        RouterConfig::baseline()
-    } else {
-        RouterConfig::stitch_aware()
-    };
-    probe.stitch = stitch;
-    probe.global.tile_size = stitch.period;
-    let issues = Router::new(probe).validate(circuit);
+    let issues = Router::new(RouterConfig::preset(opts.baseline, stitch)).validate(circuit);
     if issues.iter().any(CircuitIssue::is_error) {
         return Err(ShardError::InvalidCircuit(issues));
     }
     if opts.budget.is_dead_on_arrival() {
         return Err(ShardError::BudgetExhausted);
     }
-
-    let plan = ShardPlan::new(circuit, stitch);
-    let width = opts.shards.min(plan.jobs.len()).max(1);
-    let pool = Pool::new(width);
-    let results: Vec<Result<FragmentOutcome, ShardError>> =
-        pool.par_map_indexed(&plan.jobs, |_, job| {
-            let config = fragment_config(opts.baseline, job.period, opts.budget);
-            match Router::new(config).try_route_under(&job.circuit, interrupt) {
-                Ok(outcome) => Ok(FragmentOutcome::from_outcome(&outcome)),
-                Err(e) => Err(ShardError::Panel {
-                    key: job.key.clone(),
-                    detail: e.to_string(),
-                }),
-            }
-        });
-    let mut fragments = Vec::with_capacity(results.len());
-    for r in results {
-        fragments.push(r?);
-    }
-    let outcome = merge_fragments(circuit, opts.baseline, &plan, &fragments);
-    Ok(ShardedRun {
-        outcome,
-        jobs: plan.jobs.len(),
-        cut_nets: plan.cut_net_count(),
-        residual_nets: plan.residual_net_count(),
-        shards: width,
-    })
+    Ok(())
 }

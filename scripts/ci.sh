@@ -194,6 +194,27 @@ case "$json_out" in
 esac
 rm -f /tmp/ci_s5378_small.txt
 
+echo "=== sharded save and delta smoke (--shards, --save-outcome, --from, --edits) ==="
+# Each of these paths derives its router configuration from a mode and
+# a stitch geometry. A sharded route saves its merged outcome; reloading
+# it must print the same JSON (apart from the elapsed_ms timing field),
+# and an edit list must re-route from it with exit 0.
+smoke_dir=$(mktemp -d)
+strip_elapsed() { sed 's/,"elapsed_ms":[^,}]*//'; }
+"$mebl" gen S5378 --scale 0.02 --seed 1 -o "$smoke_dir/f.txt" >/dev/null 2>&1
+sharded_json=$("$mebl" route "$smoke_dir/f.txt" --shards 2 \
+    --save-outcome "$smoke_dir/f.mebl" --json | strip_elapsed)
+reloaded_json=$("$mebl" route --from "$smoke_dir/f.mebl" --json | strip_elapsed)
+if [ "$sharded_json" != "$reloaded_json" ]; then
+    echo "route --from printed different JSON than the sharded route that saved it:" >&2
+    diff <(echo "$sharded_json") <(echo "$reloaded_json") >&2 || true
+    exit 1
+fi
+echo '[{"op":"move_net","name":"s5378_1","dx":1,"dy":0},{"op":"add_blockage","rect":[30,10,32,12]}]' \
+    > "$smoke_dir/e.json"
+expect_exit 0 "$mebl" route --from "$smoke_dir/f.mebl" --edits "$smoke_dir/e.json"
+rm -rf "$smoke_dir"
+
 echo "=== serve smoke (daemon boots, caches, drains cleanly) ==="
 cargo run --release --offline -q -p mebl-xtask -- servesmoke "$mebl"
 

@@ -73,7 +73,6 @@ fn generous_budget_reproduces_unbudgeted_results() {
     let free = Router::new(RouterConfig::stitch_aware()).route(&c);
     let generous = RunBudget {
         time: Some(Duration::from_secs(3600)),
-        stage_time: Some(Duration::from_secs(3600)),
         max_expansions: Some(u64::MAX / 2),
     };
     let budgeted = Router::new(RouterConfig::stitch_aware().with_budget(generous))
@@ -147,10 +146,6 @@ fn dead_budgets_are_typed_errors() {
     for budget in [
         RunBudget::with_max_expansions(0),
         RunBudget::with_time(Duration::ZERO),
-        RunBudget {
-            stage_time: Some(Duration::ZERO),
-            ..RunBudget::default()
-        },
     ] {
         let config = RouterConfig::stitch_aware().with_budget(budget);
         assert!(

@@ -309,6 +309,29 @@ fn coordinator_matches_a_single_worker_byte_for_byte() {
     });
 }
 
+/// A sharded request that fails the pre-flight gets the same status and
+/// body through the coordinator as from a worker: a budget spent on
+/// arrival (504) and an inline circuit whose net has both pins on one
+/// cell (422). The coordinator runs the worker's driver and error
+/// mapping, not a copy of them.
+#[test]
+fn coordinator_preflight_errors_match_a_worker() {
+    let dead_budget = format!(
+        "{{\"bench\":\"S5378\",\"seed\":11,\"scale\":{SMALL_SCALE},\"shards\":2,\"budget_ms\":0}}"
+    );
+    let coincident =
+        "{\"circuit\":\"circuit dot 0 0 39 19 3\\nnet a 5,5,0 5,5,0\\n\",\"shards\":2}".to_string();
+    with_cluster(1, &[], |_| {}, |cluster| {
+        for (payload, status) in [(&dead_budget, 504), (&coincident, 422)] {
+            let direct = cluster.workers[0].post_json("/route", payload).expect("worker route");
+            assert_eq!(direct.status, status, "{}", direct.body_text());
+            let via_coord = cluster.coord.post_json("/route", payload).expect("coord route");
+            assert_eq!(via_coord.status, direct.status, "{}", via_coord.body_text());
+            assert_eq!(via_coord.body_text(), direct.body_text(), "payload {payload}");
+        }
+    });
+}
+
 /// Killing a worker mid-session must not change a single output byte:
 /// the coordinator marks it dead and re-dispatches its panels to the
 /// surviving worker.

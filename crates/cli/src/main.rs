@@ -29,7 +29,7 @@
 //! closes or `POST /shutdown` arrives.
 
 use mebl_route::{Pool, RouteError, Router, RouterConfig, RunBudget, StitchConfig};
-use mebl_serve::api::{audit_response_json, error_json, route_response_json, Mode};
+use mebl_serve::api::{audit_response_json, route_response_json, JobError, Mode};
 use mebl_serve::{FsyncPolicy, ServeConfig, Server};
 use std::io::{Read, Write};
 use std::process::ExitCode;
@@ -441,7 +441,7 @@ fn cmd_route(args: &[String]) -> Result<Outcome, CliError> {
             Err(
                 e @ (mebl_shard::ShardError::BudgetExhausted
                 | mebl_shard::ShardError::Panel { .. }),
-            ) => return Ok(no_result(&e, flags.json)),
+            ) => return Ok(no_result(e, flags.json)),
             Err(mebl_shard::ShardError::InvalidConfig(msg)) => {
                 return Err(CliError::Usage(format!("route: {msg}")));
             }
@@ -919,18 +919,18 @@ fn route_failure(e: RouteError, json: bool) -> Result<Outcome, CliError> {
             }
             Err(CliError::Invalid(e.to_string()))
         }
-        RouteError::BudgetExhausted => Ok(no_result(&e, json)),
+        RouteError::BudgetExhausted => Ok(no_result(e, json)),
     }
 }
 
 /// A run that produced nothing for want of budget (or a sharded run
 /// whose panel failed): the input was fine and a bigger budget would
-/// succeed, so it exits like a degraded run, printing the service's
-/// error object with `--json`.
-fn no_result(e: &dyn std::fmt::Display, json: bool) -> Outcome {
-    if json {
-        println!("{}", error_json("budget-exhausted", &e.to_string()).encode());
-    }
+/// succeed, so it exits like a degraded run, printing with `--json` the
+/// body the service answers the same failure with.
+fn no_result<E: std::fmt::Display + Into<JobError>>(e: E, json: bool) -> Outcome {
     eprintln!("degraded: {e}");
+    if json {
+        println!("{}", String::from_utf8_lossy(&e.into().response().body));
+    }
     Outcome::Degraded
 }

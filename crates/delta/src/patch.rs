@@ -143,7 +143,6 @@ pub fn route_delta_under(
     let t = Stopwatch::start();
     let mut detailed_config = config.detailed.clone();
     detailed_config.cancel = token.clone();
-    detailed_config.pool = config.pool;
     let detailed = mebl_detailed::route_incremental(
         &edit_plan.circuit,
         &plan,

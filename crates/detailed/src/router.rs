@@ -44,10 +44,8 @@ pub struct DetailedConfig {
     /// up like any failed net) and remaining nets/rip-up rounds are
     /// skipped, keeping partial geometry audit-clean.
     pub cancel: CancelToken,
-    /// Worker pool for speculative net batches. Every pool width runs
-    /// the same batched algorithm with an ordered, conflict-checked
-    /// commit, so unbudgeted results are bit-identical regardless of
-    /// worker count (DESIGN.md §9).
+    /// Ignored by the detailed stage, which routes its nets one at a
+    /// time in net order at every pool width (DESIGN.md §9).
     pub pool: Pool,
 }
 
@@ -187,8 +185,8 @@ struct RoutingState {
 /// cell set is pruned of dangling stubs before geometry extraction.
 ///
 /// The per-column cost layers are built once per run and shared by every
-/// search; each worker keeps one reusable [`DialSolver`] so routing a net
-/// costs an epoch bump, not an allocation storm.
+/// search, and the run keeps one reusable [`DialSolver`] for all its
+/// nets, so routing a net costs an epoch bump, not an allocation storm.
 pub fn route_detailed(
     circuit: &Circuit,
     plan: &StitchPlan,
@@ -392,13 +390,12 @@ fn route_targets(
 
     // Final blocker rip-up: a net still failed here survived a complete
     // search of its fully widened window, so it is walled in by routed
-    // nets and no further widening can help. One serial round (identical
-    // at every worker count by construction): let every connection of
-    // the net cross other target nets' cells, fewest first, rip up the
-    // nets on those soft paths, route the walled-in net through the
-    // freed corridors, then reroute the ripped nets around it. Nets
-    // still unrouted afterwards fall through to the degradation records
-    // below.
+    // nets and no further widening can help. One round, in net order:
+    // let every connection of the net cross other target nets' cells,
+    // fewest first, rip up the nets on those soft paths, route the
+    // walled-in net through the freed corridors, then reroute the ripped
+    // nets around it. Nets still unrouted afterwards fall through to the
+    // degradation records below.
     if !failed(result).is_empty() && !config.cancel.is_cancelled_now() {
         blocker_ripup_round(circuit, &field, config, grid, &mut solver, pin_cells, targets, result);
     }
@@ -422,91 +419,12 @@ fn route_targets(
     }
 }
 
-/// Nets per speculative batch. Fixed (never derived from the worker
-/// count) so batch membership — which determines which nets can race for
-/// the same cells — stays identical for every `--threads` value.
-const NET_BATCH: usize = 32;
-
-/// Raw occupancy of a cell: 0 = free, `net + 1` = occupied.
-fn raw_occupancy(grid: &DetailedGrid, node: u32) -> u32 {
-    grid.occupant(node).map_or(0, |net| net + 1)
-}
-
-/// Writes a raw occupancy value back to a cell.
-fn set_raw_occupancy(grid: &mut DetailedGrid, node: u32, value: u32) {
-    if value == 0 {
-        grid.free(node);
-    } else {
-        grid.occupy(node, value - 1);
-    }
-}
-
-/// Journal of grid mutations made while routing one net speculatively.
-///
-/// Every occupy/free goes through the log, which remembers the cell's
-/// prior raw occupancy, so the run can be (a) rolled back exactly and
-/// (b) summarised as a first-touch delta to replay on the master grid.
-#[derive(Default)]
-struct ChangeLog {
-    entries: Vec<(u32, u32)>,
-}
-
-impl ChangeLog {
-    fn occupy(&mut self, grid: &mut DetailedGrid, node: u32, net: u32) {
-        self.entries.push((node, raw_occupancy(grid, node)));
-        grid.occupy(node, net);
-    }
-
-    fn free(&mut self, grid: &mut DetailedGrid, node: u32) {
-        self.entries.push((node, raw_occupancy(grid, node)));
-        grid.free(node);
-    }
-
-    /// Net effect as `(node, old, new)` raw values in first-touch order,
-    /// no-op entries dropped.
-    fn delta(&self, grid: &DetailedGrid) -> Vec<(u32, u32, u32)> {
-        let mut first: FastMap<u32, u32> =
-            FastMap::with_capacity_and_hasher(self.entries.len(), Default::default());
-        let mut out: Vec<(u32, u32, u32)> = Vec::new();
-        for &(node, old) in &self.entries {
-            if let Entry::Vacant(e) = first.entry(node) {
-                e.insert(old);
-                out.push((node, old, 0));
-            }
-        }
-        out.iter_mut()
-            .for_each(|entry| entry.2 = raw_occupancy(grid, entry.0));
-        out.retain(|&(_, old, new)| old != new);
-        out
-    }
-
-    /// Restores every touched cell to its pre-log value.
-    fn rollback(&self, grid: &mut DetailedGrid) {
-        for &(node, old) in self.entries.iter().rev() {
-            set_raw_occupancy(grid, node, old);
-        }
-    }
-}
-
-/// What one speculative net run wants to do to the master grid.
-struct NetAttempt {
-    routed: bool,
-    geometry: RouteGeometry,
-    delta: Vec<(u32, u32, u32)>,
-}
-
-/// One routing pass over `order` in deterministic speculative batches;
+/// One routing pass over `order`, one net at a time on the live grid;
 /// skips already-routed nets and updates `result` in place. `seeds` is
 /// indexed by net; a seedless pass hands in an empty slice.
 ///
-/// Per batch, each worker routes nets against a clone of the pre-batch
-/// grid (with its own reusable solver) and rolls its clone back after
-/// every net; the deltas are then committed sequentially in input order.
-/// A delta whose newly claimed cells were taken by an earlier commit in
-/// the same batch is discarded and the net re-routed inline against the
-/// live grid — a decision that depends only on committed state, so the
-/// same code path yields the same result for every pool width (a serial
-/// pool runs the fan-out inline over one clone).
+/// Each net routes against the wires every earlier net left, as the
+/// paper's detailed router does (§III-D).
 #[allow(clippy::too_many_arguments)]
 fn route_pass(
     field: &CostField,
@@ -518,63 +436,20 @@ fn route_pass(
     seeds: &[Vec<Vec<u32>>],
     result: &mut DetailedResult,
 ) {
-    let pending: Vec<usize> = order
-        .iter()
-        .copied()
-        .filter(|&net| !result.routed[net])
-        .collect();
     let mut skipped = 0usize;
-    for batch in pending.chunks(NET_BATCH) {
-        // Budget checks commit at batch boundaries: a skipped net stays
+    for &net in order {
+        if result.routed[net] {
+            continue;
+        }
+        // Budget checks commit at net boundaries: a skipped net stays
         // unrouted (pins only), which downstream reporting and the audit
         // already treat as "failed nets contribute nothing".
         if config.cancel.is_cancelled() {
-            skipped += batch.len();
-            continue;
-        }
-        let snapshot: &DetailedGrid = grid;
-        let attempts: Vec<NetAttempt> = config.pool.par_map_with(
-            batch,
-            || (snapshot.clone(), DialSolver::new(field.span)),
-            |ctx, _, &net| {
-                let (local, scratch) = ctx;
-                let mut log = ChangeLog::default();
-                let (routed, geometry) =
-                    route_one_net(field, config, net, local, scratch, &mut log, pin_cells, seeds);
-                let delta = log.delta(local);
-                log.rollback(local);
-                NetAttempt {
-                    routed,
-                    geometry,
-                    delta,
-                }
-            },
-        );
-        for (&net, attempt) in batch.iter().zip(attempts) {
-            // A speculative claim commits only if every cell it newly
-            // occupies is still free on the master grid; frees touch the
-            // net's own cells, which no batch peer can have changed.
-            let clean = attempt
-                .delta
-                .iter()
-                .all(|&(node, old, new)| old != 0 || new == 0 || grid.occupant(node).is_none());
-            if clean {
-                for &(node, _, new) in &attempt.delta {
-                    set_raw_occupancy(grid, node, new);
-                }
-                if attempt.routed {
-                    result.publish(net, attempt.geometry);
-                }
-            } else {
-                // A batch peer won the race for shared cells: re-route
-                // this net inline against the live grid, keeping changes.
-                let mut log = ChangeLog::default();
-                let (routed, geometry) =
-                    route_one_net(field, config, net, grid, solver, &mut log, pin_cells, seeds);
-                if routed {
-                    result.publish(net, geometry);
-                }
-            }
+            skipped += 1;
+        } else if let Some(geometry) =
+            route_one_net(field, config, net, grid, solver, pin_cells, seeds)
+        {
+            result.publish(net, geometry);
         }
     }
     if skipped > 0 {
@@ -587,19 +462,17 @@ fn route_pass(
     }
 }
 
-/// Routes a single net on `grid`, journaling every mutation in `log`.
-/// Returns whether the net was fully connected and its geometry.
-#[allow(clippy::too_many_arguments)]
+/// Routes a single net on `grid`; returns its geometry if the net was
+/// fully connected, and leaves only its pins on the grid otherwise.
 fn route_one_net(
     field: &CostField,
     config: &DetailedConfig,
     net: usize,
     grid: &mut DetailedGrid,
     solver: &mut DialSolver,
-    log: &mut ChangeLog,
     pin_cells: &[Vec<u32>],
     seeds: &[Vec<Vec<u32>>],
-) -> (bool, RouteGeometry) {
+) -> Option<RouteGeometry> {
     let pins = &pin_cells[net];
     let net_seeds = seeds.get(net).map_or(&[][..], Vec::as_slice);
     let mut components = components_of(grid, pins, net_seeds);
@@ -608,7 +481,6 @@ fn route_one_net(
     let mut ok = connect_components(
         grid,
         solver,
-        log,
         field,
         config,
         net as u32,
@@ -620,12 +492,11 @@ fn route_one_net(
         // Failed-net rip-up/reroute (second bottom-up pass of the
         // framework): drop the net's planned segments and route the
         // pins directly.
-        free_except_pins(grid, log, &components, pins);
+        free_except_pins(grid, &components, pins);
         components = components_of(grid, pins, &[]);
         ok = connect_components(
             grid,
             solver,
-            log,
             field,
             config,
             net as u32,
@@ -641,12 +512,12 @@ fn route_one_net(
         // Free pruned cells on the grid.
         for &cell in &full {
             if !cells.contains(&cell) {
-                log.free(grid, cell);
+                grid.free(cell);
             }
         }
-        (true, extract_geometry(grid, &cells))
+        Some(extract_geometry(grid, &cells))
     } else {
-        free_except_pins(grid, log, &components, pins);
+        free_except_pins(grid, &components, pins);
         if config.cancel.is_cancelled() {
             config.cancel.record(Degradation::new(
                 Stage::Detailed,
@@ -655,7 +526,7 @@ fn route_one_net(
                 "net abandoned mid-search and ripped up",
             ));
         }
-        (false, RouteGeometry::new())
+        None
     }
 }
 
@@ -669,15 +540,10 @@ fn components_of(grid: &DetailedGrid, pins: &[u32], seeds: &[Vec<u32>]) -> Vec<F
 }
 
 /// Rips up every cell of `components` except the net's fixed pins.
-fn free_except_pins(
-    grid: &mut DetailedGrid,
-    log: &mut ChangeLog,
-    components: &[FastSet<u32>],
-    pins: &[u32],
-) {
+fn free_except_pins(grid: &mut DetailedGrid, components: &[FastSet<u32>], pins: &[u32]) {
     for &cell in components.iter().flatten() {
         if !pins.contains(&cell) {
-            log.free(grid, cell);
+            grid.free(cell);
         }
     }
 }
@@ -756,7 +622,6 @@ fn take_smallest(components: &mut Vec<FastSet<u32>>) -> FastSet<u32> {
 fn connect_components(
     grid: &mut DetailedGrid,
     solver: &mut DialSolver,
-    log: &mut ChangeLog,
     field: &CostField,
     config: &DetailedConfig,
     net: u32,
@@ -815,7 +680,7 @@ fn connect_components(
         };
         if soft.is_none() {
             for &cell in &path {
-                log.occupy(grid, cell, net);
+                grid.occupy(cell, net);
             }
         }
         let Some(dst_idx) = components.iter().position(|c| c.contains(&reached)) else {
@@ -840,8 +705,7 @@ fn connect_components(
 }
 
 /// One rip-up/reroute round for walled-in nets (see the call site in
-/// `route_targets`). Serial on the master grid in deterministic net
-/// order, so the outcome never depends on the worker count.
+/// `route_targets`), on the live grid in deterministic net order.
 ///
 /// Only nets in `candidates` are recovered or ripped as blockers. Pin
 /// cells and every cell owned by a net outside `candidates` are hard
@@ -914,7 +778,6 @@ fn blocker_ripup_round(
             let joined = connect_components(
                 grid,
                 solver,
-                &mut ChangeLog::default(),
                 field,
                 &relaxed,
                 net as u32,
@@ -938,10 +801,9 @@ fn blocker_ripup_round(
                 rip_net(grid, b, &pin_cells[b], result);
                 ripped.push(b);
             }
-            let mut log = ChangeLog::default();
-            let (ok, geometry) =
-                route_one_net(field, &relaxed, net, grid, solver, &mut log, pin_cells, &[]);
-            if ok {
+            if let Some(geometry) =
+                route_one_net(field, &relaxed, net, grid, solver, pin_cells, &[])
+            {
                 result.publish(net, geometry);
                 break;
             }
@@ -958,10 +820,7 @@ fn blocker_ripup_round(
             if result.routed[b] || config.cancel.is_cancelled_now() {
                 continue;
             }
-            let mut log = ChangeLog::default();
-            let (ok, geometry) =
-                route_one_net(field, config, b, grid, solver, &mut log, pin_cells, &[]);
-            if ok {
+            if let Some(geometry) = route_one_net(field, config, b, grid, solver, pin_cells, &[]) {
                 result.publish(b, geometry);
             }
         }

@@ -36,7 +36,7 @@ const CHUNKS_PER_WORKER: usize = 4;
 /// `Pool` is plain configuration data (`Copy`, `Eq`): it owns no OS
 /// threads. Each combinator call spawns scoped workers that terminate
 /// before the call returns, so borrowing the surrounding stage state
-/// (`&Circuit`, `&DetailedGrid`, …) needs no `Arc` and leaks nothing.
+/// (`&Circuit`, `&TileGraph`, …) needs no `Arc` and leaks nothing.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Pool {
     workers: usize,

@@ -67,15 +67,18 @@ pub struct RouterConfig {
     pub detailed: DetailedConfig,
     /// Resource bounds for the run (unlimited by default).
     pub budget: RunBudget,
-    /// Worker pool shared by every stage (serial by default).
+    /// Worker pool of global routing and track assignment (serial by
+    /// default). Detailed routing runs in net order at every width.
     ///
-    /// The determinism contract (DESIGN.md §9): for an **unbudgeted**
-    /// run, output is bit-identical for every pool width — every width
-    /// executes the same speculative-batch algorithm with an ordered
-    /// commit. A run with a wall-clock or expansion budget stays
-    /// audit-clean and typed at every width, but which nets a
-    /// mid-fan-out cancellation skips may vary with scheduling, so
-    /// budgeted multi-threaded runs are not byte-reproducible.
+    /// The determinism contract (DESIGN.md §9): output is bit-identical
+    /// for every pool width — the fanned-out stages execute the same
+    /// speculative-batch algorithm with an ordered commit at every
+    /// width — unbudgeted, and under an expansion budget that fires
+    /// during detailed routing. The exceptions are an expansion budget
+    /// that fires during global routing or track assignment, where
+    /// workers observe the shared latch mid-batch, and a wall-clock
+    /// budget: such runs stay audit-clean and typed at every width but
+    /// are not byte-reproducible.
     pub pool: Pool,
 }
 
@@ -394,7 +397,6 @@ impl Router {
         let t = Stopwatch::start();
         let mut detailed_config = self.config.detailed.clone();
         detailed_config.cancel = token.clone();
-        detailed_config.pool = self.config.pool;
         let detailed = route_detailed(circuit, &plan, &global.graph, &tracks, &detailed_config);
         timings.detailed = t.elapsed();
 

@@ -311,6 +311,12 @@ pub enum JobError {
     Edits(String),
 }
 
+impl From<RouteError> for JobError {
+    fn from(e: RouteError) -> Self {
+        JobError::Route(e)
+    }
+}
+
 impl From<ShardError> for JobError {
     fn from(e: ShardError) -> Self {
         match e {

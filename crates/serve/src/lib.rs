@@ -136,8 +136,11 @@ impl Default for ServeConfig {
 /// gone and the key lost its `stage_ms=` field. No request hashes to a
 /// v5 key any more, so old records could not answer one anyway; the
 /// bump keeps the tag naming the key scheme a record was written under.
+/// v7: detailed routing routes its nets in net order on the live grid
+/// instead of in speculative batches, so a v6 record holds a layout the
+/// same key now routes to different bytes.
 fn store_fingerprint() -> u64 {
-    mebl_store::fnv1a(b"mebl-serve stored-response v6")
+    mebl_store::fnv1a(b"mebl-serve stored-response v7")
 }
 
 /// Encodes a cacheable response for the store: status (u16 LE) ‖ body.

@@ -60,6 +60,27 @@ if [ "$out_t1" != "$out_t4" ]; then
     exit 1
 fi
 echo "$out_t4"
+# An expansion cap that fires in detailed routing must match as well:
+# detailed routing runs its nets in net order at every width. The capped
+# run is degraded and exits 2 (checked in the degraded-run smoke below),
+# so a finished run is told apart from a crash by its audit line.
+capped_audit() {
+    cargo run --release --offline -q -p mebl-cli -- \
+        audit --bench S5378 --seed 1 --max-expansions 2000 --strict --threads "$1" |
+        sed 's/, [0-9.]*s$//'
+}
+capped_t1=$(capped_audit 1) || true
+capped_t4=$(capped_audit 4) || true
+case "$capped_t1" in
+    *'0 errors, 0 warnings'*) ;;
+    *) echo "capped audit at --threads 1 did not finish clean: $capped_t1" >&2; exit 1 ;;
+esac
+if [ "$capped_t1" != "$capped_t4" ]; then
+    echo "capped audit output diverged between --threads 1 and --threads 4:" >&2
+    diff <(echo "$capped_t1") <(echo "$capped_t4") >&2 || true
+    exit 1
+fi
+echo "$capped_t4"
 
 echo "=== differential thread-count harness ==="
 cargo test -q --release --offline -p mebl-bench --test parallel
@@ -191,6 +212,21 @@ json_out=$("$mebl" gen S5378 --scale 0.02 -o /tmp/ci_s5378_small.txt >/dev/null 
 case "$json_out" in
     '{"status":'*'"report"'*) ;;
     *) echo "unexpected --json route output: $json_out" >&2; exit 1 ;;
+esac
+# A run that produces no result prints the body the daemon answers the
+# same failure with, sharded or not, and still exits 2.
+expect_exit 2 "$mebl" route /tmp/ci_s5378_small.txt --time-budget 0 --json
+expect_exit 2 "$mebl" route /tmp/ci_s5378_small.txt --time-budget 0 --shards 2 --json
+plain_body=$("$mebl" route /tmp/ci_s5378_small.txt --time-budget 0 --json 2>/dev/null) || true
+sharded_body=$("$mebl" route /tmp/ci_s5378_small.txt --time-budget 0 --shards 2 --json 2>/dev/null) ||
+    true
+if [ "$plain_body" != "$sharded_body" ]; then
+    echo "--json no-result bodies differ: plain $plain_body, --shards 2 $sharded_body" >&2
+    exit 1
+fi
+case "$plain_body" in
+    *'budget spent before routing'*) ;;
+    *) echo "unexpected --json no-result body: $plain_body" >&2; exit 1 ;;
 esac
 rm -f /tmp/ci_s5378_small.txt
 

@@ -144,20 +144,20 @@ fn scaled(spec: &BenchmarkSpec, nets: f64) -> Circuit {
 /// them (the failure message prints the new table) and says so in
 /// CHANGES.md.
 const SUITE_ROUTE_GOLDENS: [(&str, u64, u64); 14] = [
-    ("Struct", 0xf8d9a9559a9419d9, 0x4cee7de4a12d39c7),
-    ("Primary1", 0xf0fea67df24d277e, 0xe68e6a70ce8be4f9),
-    ("Primary2", 0x6099c064e138f3d8, 0xf71c3cfb74c04d6b),
+    ("Struct", 0xa6cebdb36c8feff7, 0x1eb75a505193d1d2),
+    ("Primary1", 0x82697dd50c3c87f7, 0xe68e6a70ce8be4f9),
+    ("Primary2", 0x777c48f5ee3b9c3e, 0xf71c3cfb74c04d6b),
     ("S5378", 0x8a7ec0450fc360d6, 0xfb38860978f7c274),
-    ("S9234", 0x23e7abb9bff1fa66, 0xd89228dc4d8edfe7),
-    ("S13207", 0x384c416cfc5a58bb, 0x15df1d17cd001410),
+    ("S9234", 0xabb22ff90b86fcec, 0xd89228dc4d8edfe7),
+    ("S13207", 0x32d874078ecf3e0d, 0xae5fef46fd8c539b),
     ("S15850", 0x5c99a77db49de2d6, 0x0c426a436acf0637),
-    ("S38417", 0xe19a0622a92522b2, 0xda0b93a828b2afe5),
+    ("S38417", 0xe19a0622a92522b2, 0xca1c8d32c0bc9aff),
     ("S38584", 0x6368f88a8cc4a3aa, 0x082853927ae33fd1),
-    ("DMA", 0xe4f793651e63e68f, 0x7db48d5288b53f72),
-    ("DSP1", 0xa3cfffbfc6fcfab8, 0xd335ef6ab9e9c5d8),
-    ("DSP2", 0xce212639e7742a9f, 0x03801736423d724e),
-    ("RISC1", 0xec39d4b7f53bfe53, 0xbfb691c8b7f4c89b),
-    ("RISC2", 0x377cc0873d498fb4, 0x7ae29dcb44f2c7d0),
+    ("DMA", 0xe731f69959c0d033, 0x778c28476a04ce98),
+    ("DSP1", 0x6855b3d056cb776b, 0x9e8e5e0bcb16bc00),
+    ("DSP2", 0x3512c320ce8440b4, 0x03801736423d724e),
+    ("RISC1", 0x157c1ad0ba8212c3, 0x91efe18664337f77),
+    ("RISC2", 0xb09069717d451d4a, 0x7ae29dcb44f2c7d0),
 ];
 
 #[test]
@@ -243,9 +243,9 @@ fn delta_chain_is_pinned() {
     assert_eq!(
         hashes,
         [
-            0x882d_8dbd_764a_c1c6,
-            0x258f_7e51_d0a1_1604,
-            0xcae0_6aaf_ddb4_290b
+            0x47a1_b2f8_5da4_0b8a,
+            0xa7a6_8e12_fb79_a208,
+            0x6d4e_9caa_693e_0613
         ],
         "delta chain output drifted: {shown:?}"
     );

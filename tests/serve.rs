@@ -562,7 +562,7 @@ fn unbudgeted_degraded_results_are_cached() {
             assert_eq!(warm.body, cold.body, "threads {threads}");
         }
 
-        let budgeted = sealed_pin_payload(1, ",\"max_expansions\":1000");
+        let budgeted = sealed_pin_payload(1, ",\"max_expansions\":500");
         for _ in 0..2 {
             let r = client
                 .post_json("/route", &budgeted)

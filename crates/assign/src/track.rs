@@ -63,10 +63,8 @@ pub struct TrackConfig {
     /// skipped groups place no segments, so their nets reach detailed
     /// routing seedless and are routed pin-to-pin.
     pub cancel: CancelToken,
-    /// Worker pool for per-panel fan-out. Panels are independent; the
-    /// ordered merge reproduces the serial segment order exactly, so
-    /// results are bit-identical regardless of worker count
-    /// (DESIGN.md §9).
+    /// Ignored by the assignment stage, which assigns its panels one
+    /// at a time in panel order (DESIGN.md §9).
     pub pool: Pool,
 }
 
@@ -184,25 +182,6 @@ pub struct TrackResult {
     pub timed_out: bool,
 }
 
-/// One panel's contribution to the merged [`TrackResult`].
-///
-/// Workers assign panels independently against a fresh local result;
-/// fragments are merged back in panel order, which reproduces the
-/// serial segment order exactly.
-struct PanelFragment {
-    /// Panel skipped by cancellation: contributes nothing.
-    skipped: bool,
-    /// Column panel solved by [`TrackMode::IlpExact`] — participates in
-    /// the run-wide timeout cascade at merge time.
-    exact_column: bool,
-    /// Nets of every segment this panel would have placed (colours in
-    /// range only), used to fail them when the cascade discards it.
-    member_nets: Vec<usize>,
-    segments: Vec<AssignedSeg>,
-    failed_nets: BTreeSet<usize>,
-    timed_out: bool,
-}
-
 /// Runs layer assignment then track assignment over all panels.
 pub fn assign_tracks(
     panels: &Panels,
@@ -215,64 +194,52 @@ pub fn assign_tracks(
     let h_layers = usize::from(layers).div_ceil(2);
     let mut result = TrackResult::default();
 
-    // Job list: every non-empty panel, column panels (vertical segments,
+    // Every non-empty panel in order: column panels (vertical segments,
     // stitch-aware) first, then row panels (horizontal segments,
     // conventional — stitching lines are vertical and do not constrain
-    // horizontal tracks). This is the serial iteration order, which the
-    // ordered merge below reproduces.
-    struct PanelJob<'a> {
-        column: bool,
-        panel: u32,
-        segs: &'a [PanelSegment],
-    }
-    let jobs: Vec<PanelJob> = panels
+    // horizontal tracks).
+    let columns = panels
         .columns
         .iter()
         .enumerate()
-        .filter(|(_, segs)| !segs.is_empty())
-        .map(|(i, segs)| PanelJob {
-            column: true,
-            panel: i as u32,
-            segs,
-        })
-        .chain(
-            panels
-                .rows
-                .iter()
-                .enumerate()
-                .filter(|(_, segs)| !segs.is_empty())
-                .map(|(i, segs)| PanelJob {
-                    column: false,
-                    panel: i as u32,
-                    segs,
-                }),
-        )
-        .collect();
-
-    let fragments: Vec<PanelFragment> = config.pool.par_map_indexed(&jobs, |_, job| {
+        .map(|(i, segs)| (true, i as u32, segs));
+    let rows = panels
+        .rows
+        .iter()
+        .enumerate()
+        .map(|(i, segs)| (false, i as u32, segs));
+    let exact = matches!(config.track_mode, TrackMode::IlpExact { .. });
+    let mut skipped_groups = 0usize;
+    for (column, panel, segs) in columns.chain(rows).filter(|(_, _, segs)| !segs.is_empty()) {
         // Cancellation commits at panel boundaries: a skipped panel
         // places no segments, so its nets fall through to seedless
         // pin-to-pin detailed routing.
         if config.cancel.is_cancelled() {
-            return PanelFragment {
-                skipped: true,
-                exact_column: false,
-                member_nets: Vec::new(),
-                segments: Vec::new(),
-                failed_nets: BTreeSet::new(),
-                timed_out: false,
-            };
+            skipped_groups += 1;
+            continue;
         }
-        let (extent, k) = if job.column {
+        let (extent, k) = if column {
             (graph.rows(), v_layers)
         } else {
             (graph.cols(), h_layers)
         };
-        let colors = color_panel(job.segs, extent, k, config.layer_mode, job.column);
+        let colors = color_panel(segs, extent, k, config.layer_mode, column);
+        if column && exact && result.timed_out {
+            // Once any exact group has timed out the run is "NA"
+            // (Table VII): every later column panel's members fail
+            // without being solved.
+            for (s, &c) in segs.iter().zip(&colors) {
+                if c < k {
+                    result.failed_nets.insert(s.net);
+                }
+            }
+            continue;
+        }
+        // Each panel assigns into a result of its own: the baseline
+        // column branch drains the result it is given.
         let mut local = TrackResult::default();
         for layer_color in 0..k {
-            let members: Vec<&PanelSegment> = job
-                .segs
+            let members: Vec<&PanelSegment> = segs
                 .iter()
                 .zip(&colors)
                 .filter(|&(_, &c)| c == layer_color)
@@ -281,9 +248,9 @@ pub fn assign_tracks(
             if members.is_empty() {
                 continue;
             }
-            if job.column {
+            if column {
                 assign_column_group(
-                    job.panel,
+                    panel,
                     layer_color,
                     &members,
                     graph,
@@ -293,42 +260,12 @@ pub fn assign_tracks(
                     &mut local,
                 );
             } else {
-                assign_row_group(job.panel, layer_color, &members, graph, &mut local);
+                assign_row_group(panel, layer_color, &members, graph, &mut local);
             }
         }
-        PanelFragment {
-            skipped: false,
-            exact_column: job.column
-                && matches!(config.track_mode, TrackMode::IlpExact { .. }),
-            member_nets: job
-                .segs
-                .iter()
-                .zip(&colors)
-                .filter(|&(_, &c)| c < k)
-                .map(|(s, _)| s.net)
-                .collect(),
-            segments: local.segments,
-            failed_nets: local.failed_nets,
-            timed_out: local.timed_out,
-        }
-    });
-
-    let mut skipped_groups = 0usize;
-    for frag in fragments {
-        if frag.skipped {
-            skipped_groups += 1;
-            continue;
-        }
-        if result.timed_out && frag.exact_column {
-            // Once any exact group has timed out the run is "NA"
-            // (Table VII): every later column panel's members fail, just
-            // as the serial group-by-group skip would have produced.
-            result.failed_nets.extend(frag.member_nets);
-            continue;
-        }
-        result.segments.extend(frag.segments);
-        result.failed_nets.extend(frag.failed_nets);
-        result.timed_out |= frag.timed_out;
+        result.segments.extend(local.segments);
+        result.failed_nets.extend(local.failed_nets);
+        result.timed_out |= local.timed_out;
     }
 
     if skipped_groups > 0 {

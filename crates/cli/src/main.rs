@@ -4,13 +4,13 @@
 //! mebl list                                   # show the benchmark suite
 //! mebl gen  <bench> [--scale f] [--seed n] [-o file]
 //! mebl route <circuit.txt> [--baseline] [--svg out.svg] [--period n]
-//!            [--time-budget ms] [--max-expansions n] [--threads n] [--json]
+//!            [--shards n] [--time-budget ms] [--max-expansions n] [--json]
 //!            [--save-outcome out.mebl]
 //! mebl route --from outcome.mebl [--edits edits.json] [--save-outcome f]
-//!            [--svg out.svg] [--time-budget ms] [--threads n] [--json]
+//!            [--svg out.svg] [--time-budget ms] [--json]
 //! mebl audit (<circuit.txt> | --bench NAME) [--seed n] [--scale f]
 //!            [--baseline] [--period n] [--strict]
-//!            [--time-budget ms] [--max-expansions n] [--threads n] [--json]
+//!            [--time-budget ms] [--max-expansions n] [--json]
 //! mebl serve [--port n] [--workers n] [--queue-depth n]
 //!            [--default-budget-ms n] [--cache-capacity n]
 //!            [--store dir] [--fsync always|never|interval:<n>]
@@ -22,13 +22,17 @@
 //! circuit, or a `serve` bind failure), 4 internal error (result violates
 //! a hard MEBL constraint).
 //!
+//! A route runs on one thread. `--shards n` splits the die at stitch
+//! boundaries into panel jobs and routes up to `n` of them at once; the
+//! output is byte-identical at every shard count.
+//!
 //! `--json` prints the same response object the service daemon serves
 //! (plus an `elapsed_ms` timing field, which the daemon omits so its
 //! cached bodies stay byte-identical). `serve` prints
 //! `listening on <addr>` on stdout, then drains gracefully when stdin
 //! closes or `POST /shutdown` arrives.
 
-use mebl_route::{Pool, RouteError, Router, RouterConfig, RunBudget, StitchConfig};
+use mebl_route::{RouteError, Router, RouterConfig, RunBudget, StitchConfig};
 use mebl_serve::api::{audit_response_json, route_response_json, JobError, Mode};
 use mebl_serve::{FsyncPolicy, ServeConfig, Server};
 use std::io::{Read, Write};
@@ -93,7 +97,7 @@ fn main() -> ExitCode {
 
 fn print_usage() {
     eprintln!(
-        "usage:\n  mebl list\n  mebl gen <bench> [--scale f] [--seed n] [-o file]\n  mebl route <circuit.txt> [--baseline] [--svg out.svg] [--period n] [--shards n] [--time-budget ms] [--max-expansions n] [--threads n] [--json] [--save-outcome f]\n  mebl route --from outcome.mebl [--edits edits.json] [--save-outcome f] [--svg out.svg] [--time-budget ms] [--threads n] [--json]\n  mebl audit (<circuit.txt> | --bench NAME) [--seed n] [--scale f] [--baseline] [--period n] [--strict] [--time-budget ms] [--max-expansions n] [--threads n] [--json]\n  mebl serve [--port n] [--workers n] [--queue-depth n] [--default-budget-ms n] [--cache-capacity n] [--store dir] [--fsync always|never|interval:<n>]\n  mebl coord (--workers addr,addr,... | --spawn n) [--port n] [--store dir] [--budget-ms n]\n\n--threads defaults to the machine's available parallelism; results are\nbit-identical at every thread count. --shards splits the die at stitch\nboundaries into panel jobs (byte-identical at every shard count). --json\nprints the service daemon's response object. serve and coord drain when\nstdin closes or POST /shutdown arrives.\n\nexit codes: 0 clean, 1 usage, 2 degraded result, 3 invalid input, 4 internal error"
+        "usage:\n  mebl list\n  mebl gen <bench> [--scale f] [--seed n] [-o file]\n  mebl route <circuit.txt> [--baseline] [--svg out.svg] [--period n] [--shards n] [--time-budget ms] [--max-expansions n] [--json] [--save-outcome f]\n  mebl route --from outcome.mebl [--edits edits.json] [--save-outcome f] [--svg out.svg] [--time-budget ms] [--json]\n  mebl audit (<circuit.txt> | --bench NAME) [--seed n] [--scale f] [--baseline] [--period n] [--strict] [--time-budget ms] [--max-expansions n] [--json]\n  mebl serve [--port n] [--workers n] [--queue-depth n] [--default-budget-ms n] [--cache-capacity n] [--store dir] [--fsync always|never|interval:<n>]\n  mebl coord (--workers addr,addr,... | --spawn n) [--port n] [--store dir] [--budget-ms n]\n\nA route runs on one thread. --shards splits the die at stitch boundaries\ninto panel jobs and routes that many at once (byte-identical at every\nshard count). --json prints the service daemon's response object. serve\nand coord drain when stdin closes or POST /shutdown arrives.\n\nexit codes: 0 clean, 1 usage, 2 degraded result, 3 invalid input, 4 internal error"
     );
 }
 
@@ -171,7 +175,6 @@ struct RunFlags {
     baseline: bool,
     period: Option<i32>,
     budget: RunBudget,
-    threads: Option<usize>,
     /// Sharded panel routing: split the die at stitch boundaries and
     /// fan the panels out this wide (`mebl route` only).
     shards: Option<usize>,
@@ -186,7 +189,6 @@ impl RunFlags {
             baseline: false,
             period: None,
             budget: RunBudget::default(),
-            threads: None,
             shards: None,
             json: false,
         }
@@ -227,15 +229,6 @@ impl RunFlags {
                         .map_err(|_| CliError::usage("bad --max-expansions"))?,
                 );
             }
-            "--threads" => {
-                let n: usize = val("--threads")?
-                    .parse()
-                    .map_err(|_| CliError::usage("bad --threads"))?;
-                if n == 0 {
-                    return Err(CliError::usage("--threads must be >= 1"));
-                }
-                self.threads = Some(n);
-            }
             "--shards" => {
                 let n: usize = val("--shards")?
                     .parse()
@@ -256,20 +249,7 @@ impl RunFlags {
         if let Some(p) = self.period {
             stitch.period = p;
         }
-        RouterConfig {
-            budget: self.budget,
-            pool: self.pool(),
-            ..RouterConfig::preset(self.baseline, stitch)
-        }
-    }
-
-    /// The CLI defaults to all available cores; the library default
-    /// stays serial. Output is bit-identical either way.
-    fn pool(&self) -> Pool {
-        match self.threads {
-            Some(n) => Pool::new(n),
-            None => Pool::available(),
-        }
+        RouterConfig::preset(self.baseline, stitch).with_budget(self.budget)
     }
 
     fn mode_name(&self) -> &'static str {
@@ -533,11 +513,7 @@ fn cmd_route_delta(
         }
     };
 
-    let config = RouterConfig {
-        budget: flags.budget,
-        pool: flags.pool(),
-        ..saved.config()
-    };
+    let config = saved.config().with_budget(flags.budget);
     let mode = if saved.baseline {
         Mode::Baseline
     } else {

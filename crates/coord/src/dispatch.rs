@@ -399,8 +399,7 @@ fn dispatch_deadline(budget: &RunBudget) -> CancelToken {
 /// circuit inline, the original mode, the panel's period (which
 /// `RouterConfig::preset` couples into the worker's stitch geometry
 /// *and* global tile size, as it does for `mebl_shard::fragment_config`
-/// in-process), one thread, and the original request's explicit budget
-/// fields.
+/// in-process), and the original request's explicit budget fields.
 fn fragment_request(job: &JobRequest, panel: &mebl_shard::PanelJob) -> Json {
     let mut pairs = vec![
         (
@@ -409,7 +408,6 @@ fn fragment_request(job: &JobRequest, panel: &mebl_shard::PanelJob) -> Json {
         ),
         ("mode", Json::Str(job.mode.name().to_string())),
         ("period", Json::Int(i64::from(panel.period))),
-        ("threads", Json::Int(1)),
     ];
     if let Some(ms) = job.budget_ms {
         pairs.push(("budget_ms", Json::Int(ms as i64)));

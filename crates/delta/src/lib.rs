@@ -21,10 +21,9 @@
 //!    cancellation machinery ([`route_delta`]).
 //!
 //! The equivalence contract, enforced by the differential harness in
-//! the test suite: a delta outcome audits strictly clean, is
-//! bit-identical across worker-pool widths, stays within the scratch
-//! router's quality bands, and an **empty** edit list reproduces the
-//! prior outcome bit-identically.
+//! the test suite: a delta outcome audits strictly clean, stays within
+//! the scratch router's quality bands, and an **empty** edit list
+//! reproduces the prior outcome bit-identically.
 //!
 //! Outcomes round-trip through a canonical text format
 //! ([`outcome_to_string`] / [`outcome_from_str`]) so a CLI run can

@@ -127,7 +127,6 @@ pub fn route_delta_under(
     let t = Stopwatch::start();
     let mut global_config = config.global.clone();
     global_config.cancel = token.clone();
-    global_config.pool = config.pool;
     let global = mebl_global::route_incremental(
         &edit_plan.circuit,
         &plan,
@@ -166,7 +165,6 @@ pub fn route_delta_under(
             report,
             timings,
             degradations,
-            parallelism: config.pool.workers(),
         },
         circuit: edit_plan.circuit,
         rerouted,

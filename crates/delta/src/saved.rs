@@ -11,7 +11,7 @@
 //! ```text
 //! meblout 1 <stitch|baseline>
 //! stitch <period> <epsilon> <escape_width>
-//! parallelism <n>
+//! parallelism 1
 //! circuit-begin
 //! <mebl-netlist text format>
 //! circuit-end
@@ -22,6 +22,11 @@
 //! via <i> <x> <y> <lower-layer>
 //! deg <stage> <kind> <net|-> <detail...>
 //! ```
+//!
+//! The `parallelism` line is fixed: a route runs on one thread, and the
+//! reader skips the line, whatever number older files carry. It stays
+//! in the text so that saved outcomes, `/route/outcome` bodies and the
+//! daemon's stored records keep their bytes.
 //!
 //! The track-assignment stage is intentionally not serialised: detailed
 //! geometry is the authoritative routed shape, the auditor never reads
@@ -127,7 +132,7 @@ pub fn outcome_to_string(saved: &SavedOutcome) -> String {
     let _ = writeln!(out, "meblout 1 {mode}");
     let s = saved.stitch_config();
     let _ = writeln!(out, "stitch {} {} {}", s.period, s.epsilon, s.escape_width);
-    let _ = writeln!(out, "parallelism {}", saved.outcome.parallelism);
+    out.push_str("parallelism 1\n");
     out.push_str("circuit-begin\n");
     out.push_str(&circuit_to_string(&saved.circuit));
     out.push_str("circuit-end\n");
@@ -214,7 +219,6 @@ pub fn outcome_from_str(text: &str) -> Result<SavedOutcome, ParseOutcomeError> {
     };
 
     let mut stitch: Option<StitchConfig> = None;
-    let mut parallelism: usize = 1;
     let mut in_circuit = false;
     let mut circuit_buf = String::new();
     // Per-net state, sized once the circuit is known.
@@ -285,9 +289,7 @@ pub fn outcome_from_str(text: &str) -> Result<SavedOutcome, ParseOutcomeError> {
                     escape_width,
                 });
             }
-            Some("parallelism") => {
-                parallelism = num(&mut tok, "parallelism")?.max(1) as usize;
-            }
+            Some("parallelism") => {}
             Some("circuit-begin") => {
                 if circuit.is_some() {
                     return Err(err(lineno, "duplicate embedded circuit".to_string()));
@@ -403,10 +405,8 @@ pub fn outcome_from_str(text: &str) -> Result<SavedOutcome, ParseOutcomeError> {
     let stitch = stitch.ok_or_else(|| err(0, "missing stitch line".to_string()))?;
 
     let config = RouterConfig::preset(baseline, stitch);
-    let outcome = RoutingOutcome {
-        parallelism,
-        ..RoutingOutcome::rebuild(&circuit, &config, routes, geometry, routed, degradations)
-    };
+    let outcome =
+        RoutingOutcome::rebuild(&circuit, &config, routes, geometry, routed, degradations);
     Ok(SavedOutcome {
         circuit,
         outcome,
@@ -453,6 +453,11 @@ mod tests {
         assert_eq!(a, b);
         // And re-serialising the parsed outcome is byte-identical.
         assert_eq!(outcome_to_string(&back), text);
+        // The reader skips the worker count an older writer recorded.
+        let wide = text.replacen("\nparallelism 1\n", "\nparallelism 4\n", 1);
+        assert_ne!(wide, text);
+        let wide_back = outcome_from_str(&wide).unwrap();
+        assert_eq!(outcome_to_string(&wide_back), text);
     }
 
     #[test]

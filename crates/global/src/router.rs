@@ -27,12 +27,11 @@ pub struct GlobalConfig {
     pub line_end_cost: bool,
     /// Cooperative cancellation/budget handle. The inert default never
     /// fires; when armed (see `mebl-route`'s `RunBudget`), cancellation
-    /// takes effect at net and pass boundaries so partial results stay
-    /// internally consistent.
+    /// takes effect at net-group and pass boundaries so partial results
+    /// stay internally consistent.
     pub cancel: CancelToken,
-    /// Worker pool for speculative net batches. Every pool width runs
-    /// the same batched algorithm with an ordered commit, so results
-    /// are bit-identical regardless of worker count (DESIGN.md §9).
+    /// Ignored by the global stage, which routes its net groups one
+    /// net at a time in net order (DESIGN.md §9).
     pub pool: Pool,
 }
 
@@ -164,7 +163,6 @@ pub struct GlobalResult {
 }
 
 /// Mutable routing state: demands and negotiation history.
-#[derive(Clone)]
 struct State {
     h_demand: Vec<u32>,
     v_demand: Vec<u32>,
@@ -297,7 +295,7 @@ pub fn route_incremental(
         }
         routes.push(kept.unwrap_or_default());
     }
-    let skipped = route_batched(circuit, &graph, &mut state, config, &targets, &mut routes);
+    let skipped = route_groups(circuit, &graph, &mut state, config, &targets, &mut routes);
     if skipped > 0 {
         config.cancel.record(Degradation::new(
             Stage::Global,
@@ -439,7 +437,7 @@ fn negotiate(
             state.apply_route(graph, &routes[i], -1, &config.cancel);
             routes[i] = GlobalRoute::default();
         }
-        let skipped = route_batched(circuit, graph, state, config, &victims, routes);
+        let skipped = route_groups(circuit, graph, state, config, &victims, routes);
         if skipped > 0 {
             config.cancel.record(Degradation::new(
                 Stage::Global,
@@ -451,23 +449,21 @@ fn negotiate(
     }
 }
 
-/// Nets per speculative batch. Fixed (never derived from the worker
-/// count) so batch membership — which *is* visible in the result, since
-/// nets in one batch price congestion against the same pre-batch demand
-/// — stays identical for every `--threads` value.
-const NET_BATCH: usize = 32;
+/// Nets per group. Nets in one group price congestion against the
+/// demand the group started from, so the group size is visible in the
+/// result.
+const NET_GROUP: usize = 32;
 
-/// Routes `nets` (in order) in deterministic speculative batches.
+/// Routes `nets` (in order) in fixed groups of [`NET_GROUP`] nets.
 ///
-/// Per batch, each worker routes nets against a clone of the pre-batch
-/// demand state and rolls its clone back after every net; the resulting
-/// routes are then committed sequentially in input order on the master
-/// state. The exact same batched code path runs for every pool width —
-/// a serial pool just executes the fan-out inline — so the output is a
-/// pure function of the input. Returns the number of nets skipped by
-/// cancellation (checked at batch boundaries; an expansion cap latches
-/// at a deterministic batch since every batch charges a fixed total).
-fn route_batched(
+/// Each net routes on `state` and has its demand rolled back at once,
+/// so every net of a group prices congestion against the demand the
+/// group started from; the group's routes are then committed in net
+/// order after its last net. Returns the number of nets skipped by
+/// cancellation, which is checked at group boundaries only: an
+/// expansion cap is charged in net order, so it fires at the same
+/// group on every run.
+fn route_groups(
     circuit: &Circuit,
     graph: &TileGraph,
     state: &mut State,
@@ -476,29 +472,21 @@ fn route_batched(
     routes: &mut [GlobalRoute],
 ) -> usize {
     let mut skipped = 0usize;
-    for batch in nets.chunks(NET_BATCH) {
-        // Cancellation takes effect at batch boundaries: a skipped net
-        // keeps its empty default route (no demand charged), so the
-        // capacity model stays consistent and the audit recount agrees.
+    for group in nets.chunks(NET_GROUP) {
+        // A skipped net keeps its empty default route (no demand
+        // charged), so the capacity model stays consistent and the
+        // audit recount agrees.
         if config.cancel.is_cancelled() {
-            skipped += batch.len();
+            skipped += group.len();
             continue;
         }
-        let snapshot: &State = state;
-        let speculated: Vec<GlobalRoute> = config.pool.par_map_with(
-            batch,
-            || snapshot.clone(),
-            |local, _, &net| {
-                let route = route_net(circuit, net, graph, local, config);
-                // Roll the worker's state back so every net in the batch
-                // prices congestion against the same pre-batch demand.
-                local.apply_route(graph, &route, -1, &config.cancel);
-                route
-            },
-        );
-        for (&net, route) in batch.iter().zip(speculated) {
-            state.apply_route(graph, &route, 1, &config.cancel);
+        for &net in group {
+            let route = route_net(circuit, net, graph, state, config);
+            state.apply_route(graph, &route, -1, &config.cancel);
             routes[net] = route;
+        }
+        for &net in group {
+            state.apply_route(graph, &routes[net], 1, &config.cancel);
         }
     }
     skipped
@@ -712,7 +700,7 @@ fn astar_tiles(
         // Charge the pop against the run's expansion budget. Global A*
         // never aborts mid-search — an interrupted search would leave a
         // half-built `prev` chain — so the cancellation this may latch
-        // takes effect at the next net boundary in `route_circuit`.
+        // takes effect at the next group boundary in `route_groups`.
         config.cancel.charge_expansions(1);
         let du = dist[u as usize];
         for v in graph.neighbors(ut) {

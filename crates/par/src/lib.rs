@@ -4,9 +4,9 @@
 //! ([`std::thread::scope`]) and a lock-free chunk cursor, then reduces
 //! every result **in input order**. The reduction order — and therefore
 //! the output — is a pure function of the input, never of worker count
-//! or OS scheduling. Stages that route against a snapshot and commit
-//! sequentially (see `DESIGN.md` §9) stay bit-identical for any
-//! `--threads` value.
+//! or OS scheduling. A route itself runs on one thread; the pool fans
+//! out independent jobs, such as shard panels and raster stripes, so
+//! their merged output is the same at every width (see `DESIGN.md` §9).
 //!
 //! Design constraints, enforced by `xtask lint`:
 //! - zero dependencies; scoped `std` threads only, no detached spawns;
@@ -63,20 +63,6 @@ impl Pool {
         Self { workers: 1 }
     }
 
-    /// Pool sized to the machine's available parallelism (1 if that
-    /// cannot be determined).
-    #[must_use]
-    pub fn available() -> Self {
-        let n = std::thread::available_parallelism().map_or(1, |n| n.get());
-        Self::new(n)
-    }
-
-    /// Number of workers this pool fans out to.
-    #[must_use]
-    pub fn workers(&self) -> usize {
-        self.workers
-    }
-
     /// Whether combinators run inline without spawning threads.
     #[must_use]
     pub fn is_serial(&self) -> bool {
@@ -94,32 +80,13 @@ impl Pool {
         R: Send,
         F: Fn(usize, &T) -> R + Sync,
     {
-        self.par_map_with(items, || (), |(), i, item| f(i, item))
-    }
-
-    /// Maps `f` over `items` with a per-worker scratch context.
-    ///
-    /// `init` runs once per worker (once total in serial mode) and the
-    /// resulting context is threaded through every call that worker
-    /// makes. The contract that keeps output thread-count-invariant:
-    /// `f` must leave the context in an equivalent state after each
-    /// item (route on a snapshot clone, then roll back), so it never
-    /// matters which worker — or how many — processed an item.
-    pub fn par_map_with<T, R, C, I, F>(&self, items: &[T], init: I, f: F) -> Vec<R>
-    where
-        T: Sync,
-        R: Send,
-        I: Fn() -> C + Sync,
-        F: Fn(&mut C, usize, &T) -> R + Sync,
-    {
         let n = items.len();
         let workers = self.workers.min(n);
         if workers <= 1 {
-            let mut ctx = init();
             return items
                 .iter()
                 .enumerate()
-                .map(|(i, item)| f(&mut ctx, i, item))
+                .map(|(i, item)| f(i, item))
                 .collect();
         }
 
@@ -129,7 +96,6 @@ impl Pool {
             let mut handles = Vec::with_capacity(workers);
             for _ in 0..workers {
                 handles.push(scope.spawn(|| {
-                    let mut ctx = init();
                     let mut out: Vec<(usize, Vec<R>)> = Vec::new();
                     loop {
                         let start = cursor.fetch_add(chunk, Ordering::Relaxed);
@@ -139,7 +105,7 @@ impl Pool {
                         let end = (start + chunk).min(n);
                         let mut part = Vec::with_capacity(end - start);
                         for (i, item) in items.iter().enumerate().take(end).skip(start) {
-                            part.push(f(&mut ctx, i, item));
+                            part.push(f(i, item));
                         }
                         out.push((start, part));
                     }
@@ -184,25 +150,10 @@ impl Pool {
     {
         let chunk_size = chunk_size.max(1);
         let chunks: Vec<&[T]> = items.chunks(chunk_size).collect();
-        self.par_map_with(&chunks, || (), |(), i, part| f(i, part))
+        self.par_map_indexed(&chunks, |i, part| f(i, part))
     }
 }
 
-/// Runs `f(role)` for every role in `0..roles` concurrently and joins
-/// them all before returning.
-///
-/// Role 0 runs on the caller's thread; roles `1..roles` run on scoped
-/// threads. This is the workspace's primitive for *heterogeneous*
-/// long-lived concurrency — an acceptor loop plus a worker pool, a
-/// server plus a client harness — where [`Pool`]'s homogeneous data
-/// parallelism does not fit. Threads stay scoped (nothing outlives the
-/// call) and panics propagate: if any role panics, `run_scoped` panics
-/// after every other role has been joined, re-raising the first
-/// payload.
-///
-/// Roles typically coordinate through shared state that tells the
-/// others to finish (a latch, a closed queue); `run_scoped` itself
-/// imposes no protocol beyond "all roles return".
 /// Runs `f`, converting a panic into `Err` with the panic message.
 ///
 /// This is the workspace's *only* sanctioned panic boundary: the rest
@@ -228,6 +179,21 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
+/// Runs `f(role)` for every role in `0..roles` concurrently and joins
+/// them all before returning.
+///
+/// Role 0 runs on the caller's thread; roles `1..roles` run on scoped
+/// threads. This is the workspace's primitive for *heterogeneous*
+/// long-lived concurrency — an acceptor loop plus a worker pool, a
+/// server plus a client harness — where [`Pool`]'s homogeneous data
+/// parallelism does not fit. Threads stay scoped (nothing outlives the
+/// call) and panics propagate: if any role panics, `run_scoped` panics
+/// after every other role has been joined, re-raising the first
+/// payload.
+///
+/// Roles typically coordinate through shared state that tells the
+/// others to finish (a latch, a closed queue); `run_scoped` itself
+/// imposes no protocol beyond "all roles return".
 pub fn run_scoped<F>(roles: usize, f: F)
 where
     F: Fn(usize) + Sync,
@@ -269,10 +235,8 @@ mod tests {
 
     #[test]
     fn clamps_to_at_least_one_worker() {
-        assert_eq!(Pool::new(0).workers(), 1);
         assert!(Pool::new(0).is_serial());
         assert!(Pool::default().is_serial());
-        assert!(Pool::available().workers() >= 1);
     }
 
     #[test]
@@ -319,40 +283,6 @@ mod tests {
         // Chunk size 0 is treated as 1 rather than dividing by zero.
         let got = Pool::new(2).par_chunks(&[1u32, 2], 0, |_, part| part.len());
         assert_eq!(got, [1, 1]);
-    }
-
-    #[test]
-    fn per_worker_context_sees_every_item_exactly_once() {
-        // Sum via per-worker accumulators: contexts are worker-local,
-        // so the global sum over all contexts must equal the serial sum
-        // regardless of how items were distributed.
-        let items: Vec<u64> = (1..=500).collect();
-        let total = AtomicU64::new(0);
-        struct Acc<'a> {
-            local: u64,
-            total: &'a AtomicU64,
-        }
-        impl Drop for Acc<'_> {
-            fn drop(&mut self) {
-                self.total.fetch_add(self.local, Ordering::Relaxed);
-            }
-        }
-        for workers in [1, 4] {
-            total.store(0, Ordering::Relaxed);
-            let results = Pool::new(workers).par_map_with(
-                &items,
-                || Acc {
-                    local: 0,
-                    total: &total,
-                },
-                |acc, _, &x| {
-                    acc.local += x;
-                    x
-                },
-            );
-            assert_eq!(results, items, "workers = {workers}");
-            assert_eq!(total.load(Ordering::Relaxed), 500 * 501 / 2);
-        }
     }
 
     #[test]

@@ -47,11 +47,6 @@ impl RunBudget {
         }
     }
 
-    /// Whether no bound is set.
-    pub fn is_unlimited(&self) -> bool {
-        self.time.is_none() && self.max_expansions.is_none()
-    }
-
     /// Whether the budget is spent before any work can happen.
     pub fn is_dead_on_arrival(&self) -> bool {
         self.time == Some(Duration::ZERO) || self.max_expansions == Some(0)
@@ -140,7 +135,7 @@ mod tests {
     #[test]
     fn unlimited_budget_is_default_and_not_dead() {
         let b = RunBudget::default();
-        assert!(b.is_unlimited());
+        assert_eq!((b.time, b.max_expansions), (None, None));
         assert!(!b.is_dead_on_arrival());
         assert_eq!(b, RunBudget::unlimited());
     }

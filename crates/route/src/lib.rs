@@ -67,18 +67,11 @@ pub struct RouterConfig {
     pub detailed: DetailedConfig,
     /// Resource bounds for the run (unlimited by default).
     pub budget: RunBudget,
-    /// Worker pool of global routing and track assignment (serial by
-    /// default). Detailed routing runs in net order at every width.
-    ///
-    /// The determinism contract (DESIGN.md §9): output is bit-identical
-    /// for every pool width — the fanned-out stages execute the same
-    /// speculative-batch algorithm with an ordered commit at every
-    /// width — unbudgeted, and under an expansion budget that fires
-    /// during detailed routing. The exceptions are an expansion budget
-    /// that fires during global routing or track assignment, where
-    /// workers observe the shared latch mid-batch, and a wall-clock
-    /// budget: such runs stay audit-clean and typed at every width but
-    /// are not byte-reproducible.
+    /// Ignored by the flow, which routes on one thread (DESIGN.md §9):
+    /// every stage routes its nets or panels in order, so the output is
+    /// a pure function of the circuit and the configuration, under an
+    /// expansion budget too. Only a wall-clock budget that fires makes a
+    /// run schedule-dependent.
     pub pool: Pool,
 }
 
@@ -135,13 +128,6 @@ impl RouterConfig {
     #[must_use]
     pub fn with_budget(mut self, budget: RunBudget) -> Self {
         self.budget = budget;
-        self
-    }
-
-    /// Returns this configuration with an `n`-worker pool installed.
-    #[must_use]
-    pub fn with_threads(mut self, n: usize) -> Self {
-        self.pool = Pool::new(n);
         self
     }
 
@@ -208,8 +194,6 @@ pub struct RoutingOutcome {
     /// Everything the run gave up or papered over, in the order it
     /// happened. Empty for a clean, unconstrained run.
     pub degradations: Vec<Degradation>,
-    /// Number of workers the run fanned out to (1 = serial).
-    pub parallelism: usize,
 }
 
 impl RoutingOutcome {
@@ -218,8 +202,8 @@ impl RoutingOutcome {
     /// Everything derived — the stitch plan, the tile graph with its
     /// demands and metrics, the report — is recomputed under `config`,
     /// so the published totals always equal the auditor's recount.
-    /// Tracks are an internal stage artifact and come back empty;
-    /// timings are zero and `parallelism` is 1.
+    /// Tracks are an internal stage artifact and come back empty, and
+    /// timings are zero.
     ///
     /// # Panics
     ///
@@ -249,7 +233,6 @@ impl RoutingOutcome {
             report,
             timings: StageTimings::default(),
             degradations,
-            parallelism: 1,
         }
     }
 
@@ -376,7 +359,6 @@ impl Router {
         let t = Stopwatch::start();
         let mut global_config = self.config.global.clone();
         global_config.cancel = token.clone();
-        global_config.pool = self.config.pool;
         let global = route_circuit(circuit, &plan, &global_config);
         timings.global = t.elapsed();
 
@@ -384,7 +366,6 @@ impl Router {
         let panels = extract_panels(&global);
         let mut track_config = self.config.track.clone();
         track_config.cancel = token.clone();
-        track_config.pool = self.config.pool;
         let tracks = assign_tracks(
             &panels,
             &global.graph,
@@ -415,7 +396,6 @@ impl Router {
             report,
             timings,
             degradations,
-            parallelism: self.config.pool.workers(),
         }
     }
 }

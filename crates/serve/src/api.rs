@@ -66,15 +66,11 @@ pub struct JobRequest {
     pub budget_ms: Option<u64>,
     /// Search-expansion cap.
     pub max_expansions: Option<u64>,
-    /// Worker threads for the routing pool (output is bit-identical at
-    /// every value, so this is excluded from the cache key).
-    pub threads: usize,
     /// Sharded panel routing: split the circuit at stitch boundaries
     /// and route the panels over a pool this wide. Whether a job is
     /// sharded changes its output (the sharded pipeline is its own
     /// deterministic algorithm), so the *flag* enters the cache key —
-    /// but like `threads`, the shard *count* is output-invisible and
-    /// stays out of it.
+    /// but the shard *count* is output-invisible and stays out of it.
     pub shards: Option<usize>,
     /// Audit strictness (warnings fail the audit) — `/audit` only.
     pub strict: bool,
@@ -91,7 +87,6 @@ impl Default for JobRequest {
             period: None,
             budget_ms: None,
             max_expansions: None,
-            threads: 1,
             shards: None,
             strict: false,
         }
@@ -145,13 +140,6 @@ impl JobRequest {
                         v.as_u64()
                             .ok_or("`max_expansions` must be a non-negative integer")?,
                     );
-                }
-                "threads" => {
-                    let t = v.as_u64().ok_or("`threads` must be a positive integer")?;
-                    if t == 0 || t > 256 {
-                        return Err("`threads` must be in 1..=256".into());
-                    }
-                    req.threads = t as usize;
                 }
                 "shards" => {
                     let s = v.as_u64().ok_or("`shards` must be a positive integer")?;
@@ -254,7 +242,6 @@ impl JobRequest {
         }
         RouterConfig::preset(self.mode == Mode::Baseline, stitch)
             .with_budget(self.budget(default_budget))
-            .with_threads(self.threads)
     }
 
     /// The sharded-run options for this job, when `shards` is set.
@@ -273,8 +260,8 @@ impl JobRequest {
     ///
     /// The circuit name enters because bodies carry it: without it an
     /// inline text equal to some benchmark recipe would alias that
-    /// benchmark's entry. `threads` is deliberately excluded — the
-    /// determinism contract makes it output-invisible — and the
+    /// benchmark's entry. The shard count is left out, since sharded
+    /// output is byte-identical at every shard count, and the
     /// *resolved* budget is used so a request relying on the server
     /// default keys the same as one spelling that default out.
     pub fn cache_key(&self, endpoint: &str, source: &str, default_budget: RunBudget) -> u64 {
@@ -595,7 +582,6 @@ mod tests {
         assert_eq!(r.bench.as_deref(), Some("S5378"));
         assert_eq!(r.seed, 3);
         assert_eq!(r.mode, Mode::StitchAware);
-        assert_eq!(r.threads, 1);
         assert!(r.circuit.is_none());
     }
 
@@ -607,7 +593,10 @@ mod tests {
         assert!(req(r#"{"bench":"S5378","mode":"quantum"}"#).is_err());
         assert!(req(r#"{"bench":"S5378","scale":0}"#).is_err());
         assert!(req(r#"{"bench":"S5378","period":1}"#).is_err());
-        assert!(req(r#"{"bench":"S5378","threads":0}"#).is_err());
+        assert_eq!(
+            req(r#"{"bench":"S5378","threads":2}"#).unwrap_err(),
+            "unknown field `threads`"
+        );
         assert!(req(r#"[1,2,3]"#).is_err());
     }
 
@@ -671,15 +660,10 @@ mod tests {
     }
 
     #[test]
-    fn cache_key_covers_config_but_not_threads() {
+    fn cache_key_covers_config_endpoint_and_source() {
         let a = req(r#"{"bench":"S5378"}"#).unwrap();
-        let b = req(r#"{"bench":"S5378","threads":4}"#).unwrap();
         let c = req(r#"{"bench":"S5378","period":40}"#).unwrap();
         let unlimited = RunBudget::unlimited();
-        assert_eq!(
-            a.cache_key("route", "text", unlimited),
-            b.cache_key("route", "text", unlimited)
-        );
         assert_ne!(
             a.cache_key("route", "text", unlimited),
             c.cache_key("route", "text", unlimited)
@@ -703,12 +687,11 @@ mod tests {
 
     #[test]
     fn router_config_mirrors_request() {
-        let r = req(r#"{"bench":"S5378","mode":"baseline","period":44,"threads":2,"max_expansions":9}"#)
-            .unwrap();
+        let r =
+            req(r#"{"bench":"S5378","mode":"baseline","period":44,"max_expansions":9}"#).unwrap();
         let config = r.router_config(RunBudget::unlimited());
         assert_eq!(config.stitch.period, 44);
         assert_eq!(config.global.tile_size, 44);
-        assert_eq!(config.pool.workers(), 2);
         assert_eq!(config.budget.max_expansions, Some(9));
     }
 

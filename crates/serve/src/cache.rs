@@ -7,11 +7,12 @@
 //! **bit-identical** to re-running the job — the cache is a pure
 //! speedup, never an observable behavior change. Only reproducible
 //! results are inserted (`Server::reproducible`): clean ones, and
-//! degraded ones from a run with no budget, whose degradations (a
-//! search-exhausted net, say) recur identically on every run. A
-//! degraded body from a budgeted run reflects the budget that cut it
-//! short, not the request, so replaying it for a future identical
-//! request would be wrong; so does a run the shutdown interrupt cut.
+//! degraded ones from a run with no wall-clock budget, whose
+//! degradations (a search-exhausted net, or an expansion cap spent in
+//! the same order on every run) recur identically. A degraded body
+//! from a run a wall-clock budget cut short reflects the host's speed,
+//! not the request, so replaying it for a future identical request
+//! would be wrong; so does a run the shutdown interrupt cut.
 
 use std::collections::BTreeMap;
 use std::sync::Mutex;

@@ -717,11 +717,12 @@ impl Server {
     /// Whether a finished run is a pure function of its request, so a
     /// cached copy is indistinguishable from running it again: the
     /// shutdown interrupt never fired, and the run is clean or had no
-    /// budget that could have cut it short. An unbudgeted degradation
-    /// (a search-exhausted net, say) recurs identically on every run
+    /// wall-clock budget that could have cut it short. A degradation
+    /// without one (a search-exhausted net, or an expansion cap, which
+    /// is spent in the same order on every run) recurs identically
     /// (DESIGN.md §9).
     fn reproducible(&self, degraded: bool, budget: RunBudget) -> bool {
-        !self.shared.interrupt.is_cancelled_now() && (!degraded || budget.is_unlimited())
+        !self.shared.interrupt.is_cancelled_now() && (!degraded || budget.time.is_none())
     }
 
     /// Runs one job. Returns the response plus whether it may be cached
@@ -868,8 +869,9 @@ impl Server {
                         .map_err(JobError::Route)?;
                     let prior: PriorOutcome = Arc::new((circuit.clone(), outcome));
                     // Only reproducible priors are worth keeping: one cut
-                    // short by a budget or the interrupt reflects that
-                    // run, and patching on top of it would bake it in.
+                    // short by a wall-clock budget or the interrupt
+                    // reflects that run, and patching on top of it would
+                    // bake it in.
                     if self.reproducible(prior.1.is_degraded(), budget) {
                         self.shared.outcomes.put(base_key, prior.clone());
                     }

@@ -11,9 +11,8 @@
 //! The decomposition is a pure function of `(circuit, stitch config)`;
 //! the shard count only widens the worker pool the fixed job list runs
 //! on. That is the whole determinism argument: sharded output is
-//! byte-identical at every shard count (`tests/shard.rs` enforces it the
-//! way `tests/parallel.rs` enforces thread-count invariance), and the
-//! merged outcome passes `mebl-audit --strict`. The sharded pipeline is
+//! byte-identical at every shard count (`tests/shard.rs` enforces it),
+//! and the merged outcome passes `mebl-audit --strict`. The sharded pipeline is
 //! its *own* deterministic algorithm — its output is not defined to
 //! match a monolithic `Router::route` run, only to satisfy the same
 //! hard MEBL legality contract (DESIGN.md §15).

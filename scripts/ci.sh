@@ -47,43 +47,44 @@ for seed in 1 2 3; do
         audit --bench S5378 --seed "$seed" --baseline
 done
 
-echo "=== thread-count matrix (audit smoke must match at --threads 1 and 4) ==="
-# The trailing elapsed-seconds field is wall clock, not routing output;
-# strip it so scheduler noise at a rounding boundary can't fail the gate.
-out_t1=$(cargo run --release --offline -q -p mebl-cli -- \
-    audit --bench S5378 --seed 1 --strict --threads 1 | sed 's/, [0-9.]*s$//')
-out_t4=$(cargo run --release --offline -q -p mebl-cli -- \
-    audit --bench S5378 --seed 1 --strict --threads 4 | sed 's/, [0-9.]*s$//')
-if [ "$out_t1" != "$out_t4" ]; then
-    echo "audit output diverged between --threads 1 and --threads 4:" >&2
-    diff <(echo "$out_t1") <(echo "$out_t4") >&2 || true
-    exit 1
-fi
-echo "$out_t4"
-# An expansion cap that fires in detailed routing must match as well:
-# detailed routing runs its nets in net order at every width. The capped
-# run is degraded and exits 2 (checked in the degraded-run smoke below),
-# so a finished run is told apart from a crash by its audit line.
-capped_audit() {
-    cargo run --release --offline -q -p mebl-cli -- \
-        audit --bench S5378 --seed 1 --max-expansions 2000 --strict --threads "$1" |
-        sed 's/, [0-9.]*s$//'
+echo "=== shard-count matrix (route JSON must match at --shards 1 and 4) ==="
+# A route runs on one thread; the shard count, which fans a sharded
+# route's panel jobs out, is the one width left. The smoke circuit must
+# route to the same JSON at --shards 1 and --shards 4 (the elapsed_ms
+# timing field aside), unbudgeted and under an expansion cap that leaves
+# nets unrouted.
+mebl="target/release/mebl"
+strip_elapsed() { sed 's/,"elapsed_ms":[^,}]*//'; }
+matrix_dir=$(mktemp -d)
+"$mebl" gen S5378 --scale 0.02 --seed 1 -o "$matrix_dir/f.txt" >/dev/null 2>&1
+# Usage: sharded_json <shards> <expansion cap|none>. A degraded run
+# exits 2; the status check below tells it apart from a crash.
+sharded_json() {
+    if [ "$2" = none ]; then
+        set -- --shards "$1"
+    else
+        set -- --shards "$1" --max-expansions "$2"
+    fi
+    { "$mebl" route "$matrix_dir/f.txt" "$@" --json 2>/dev/null || true; } | strip_elapsed
 }
-capped_t1=$(capped_audit 1) || true
-capped_t4=$(capped_audit 4) || true
-case "$capped_t1" in
-    *'0 errors, 0 warnings'*) ;;
-    *) echo "capped audit at --threads 1 did not finish clean: $capped_t1" >&2; exit 1 ;;
-esac
-if [ "$capped_t1" != "$capped_t4" ]; then
-    echo "capped audit output diverged between --threads 1 and --threads 4:" >&2
-    diff <(echo "$capped_t1") <(echo "$capped_t4") >&2 || true
-    exit 1
-fi
-echo "$capped_t4"
-
-echo "=== differential thread-count harness ==="
-cargo test -q --release --offline -p mebl-bench --test parallel
+for cap in none 300; do
+    want='"status":"degraded"'
+    if [ "$cap" = none ]; then
+        want='"status":"ok"'
+    fi
+    one=$(sharded_json 1 "$cap")
+    four=$(sharded_json 4 "$cap")
+    case "$one" in
+        *"$want"*) ;;
+        *) echo "route --shards 1 (cap $cap) did not print $want: $one" >&2; exit 1 ;;
+    esac
+    if [ "$one" != "$four" ]; then
+        echo "route JSON diverged between --shards 1 and --shards 4 (cap $cap):" >&2
+        diff <(echo "$one") <(echo "$four") >&2 || true
+        exit 1
+    fi
+done
+rm -rf "$matrix_dir"
 
 # Runs one bench suite and gates it against its committed baseline
 # (results/bench_<suite>.json) with `xtask benchgate --tolerance <pct>`.
@@ -162,14 +163,18 @@ cargo test -q --release --offline -p mebl-bench --test store
 
 echo "=== degraded-run smoke (budget bites -> exit 2, still audit-clean) ==="
 set +e
-cargo run --release --offline -q -p mebl-cli -- \
-    audit --bench S5378 --seed 1 --max-expansions 2000 --strict
+capped=$(cargo run --release --offline -q -p mebl-cli -- \
+    audit --bench S5378 --seed 1 --max-expansions 2000 --strict)
 status=$?
 set -e
 if [ "$status" -ne 2 ]; then
     echo "expected exit 2 (degraded) from the capped audit run, got $status" >&2
     exit 1
 fi
+case "$capped" in
+    *'0 errors, 0 warnings'*) echo "$capped" ;;
+    *) echo "capped audit did not finish clean: $capped" >&2; exit 1 ;;
+esac
 
 echo "=== exit-code taxonomy (0 clean / 1 usage / 2 degraded / 3 invalid input) ==="
 expect_exit() {
@@ -183,11 +188,12 @@ expect_exit() {
         exit 1
     fi
 }
-mebl="target/release/mebl"
 expect_exit 0 "$mebl" audit --bench S5378 --seed 1
 expect_exit 1 "$mebl" frobnicate
 expect_exit 1 "$mebl" audit --bench NOPE
 expect_exit 1 "$mebl" serve --workers 0
+# A route runs on one thread; the width knob is gone.
+expect_exit 1 "$mebl" route tests/data/sealed_pin.txt --threads 2
 expect_exit 2 "$mebl" audit --bench S5378 --seed 1 --max-expansions 2000
 # Unbudgeted and still degraded: one pin is walled in by blockages, so a
 # net stays unrouted, and the strict audit (blockage scan included) is
@@ -236,7 +242,6 @@ echo "=== sharded save and delta smoke (--shards, --save-outcome, --from, --edit
 # it must print the same JSON (apart from the elapsed_ms timing field),
 # and an edit list must re-route from it with exit 0.
 smoke_dir=$(mktemp -d)
-strip_elapsed() { sed 's/,"elapsed_ms":[^,}]*//'; }
 "$mebl" gen S5378 --scale 0.02 --seed 1 -o "$smoke_dir/f.txt" >/dev/null 2>&1
 sharded_json=$("$mebl" route "$smoke_dir/f.txt" --shards 2 \
     --save-outcome "$smoke_dir/f.mebl" --json | strip_elapsed)

@@ -8,9 +8,6 @@
 //!   zero warnings from the independent verifier) against the edited
 //!   circuit;
 //! * an empty edit list reproduces the prior outcome bit-identically;
-//! * the patched outcome is byte-identical at 1, 2 and 4 worker
-//!   threads (the workspace determinism contract extends to the delta
-//!   path);
 //! * quality stays within bands of a from-scratch route of the edited
 //!   circuit: no more than two fewer routed nets, combined wire
 //!   objective (wirelength + `via_cost`·vias) within 10% plus a floor
@@ -30,7 +27,7 @@ use mebl_audit::audit_outcome;
 use mebl_delta::{apply_edits, route_delta, CircuitEdit};
 use mebl_geom::{Layer, Point, Rect};
 use mebl_netlist::{BenchmarkSpec, Circuit, CircuitIssue, GenerateConfig, Pin};
-use mebl_route::{Pool, Router, RouterConfig, RoutingOutcome};
+use mebl_route::{Router, RouterConfig, RoutingOutcome};
 use mebl_stitch::StitchPlan;
 use mebl_testkit::{Rng, SplitMix64};
 use std::collections::BTreeSet;
@@ -268,34 +265,6 @@ fn empty_edit_list_is_bit_identical_on_bench() {
         geometry_fingerprint(&delta.outcome),
         geometry_fingerprint(&prior)
     );
-}
-
-/// The determinism contract covers the delta path: the patched outcome
-/// is byte-identical at every worker count.
-#[test]
-fn delta_outcome_is_thread_count_invariant() {
-    let base_config = RouterConfig::stitch_aware();
-    let circuit = quick("S5378", 7);
-    let prior = Router::new(base_config.clone()).route(&circuit);
-    let plan = StitchPlan::new(circuit.outline(), base_config.stitch);
-    let mut rng = SplitMix64::from_seed(0x7123_4567);
-    let edits = edit_batch(&circuit, plan.lines(), &mut rng, 4);
-
-    let mut fingerprints = Vec::new();
-    for threads in [1usize, 2, 4] {
-        let mut config = base_config.clone();
-        config.pool = Pool::new(threads);
-        let delta =
-            route_delta(&circuit, &prior, &edits, &config).expect("valid batch routes");
-        fingerprints.push((threads, geometry_fingerprint(&delta.outcome)));
-    }
-    let (_, first) = fingerprints[0];
-    for (threads, fp) in &fingerprints {
-        assert_eq!(
-            *fp, first,
-            "delta outcome diverged at {threads} threads: {fingerprints:x?}"
-        );
-    }
 }
 
 /// Removing a net frees its resources: the freed nets never shrink the

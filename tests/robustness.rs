@@ -8,7 +8,7 @@ use mebl_netlist::{
     circuit_from_str, circuit_to_string, BenchmarkSpec, Circuit, GenerateConfig, Net, Pin,
 };
 use mebl_route::{
-    DegradationKind, RouteError, Router, RouterConfig, RoutingOutcome, RunBudget,
+    DegradationKind, RouteError, Router, RouterConfig, RoutingOutcome, RunBudget, Stage,
 };
 use mebl_testkit::{fault, Fault, FaultPlan, Rng, SplitMix64};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -123,19 +123,33 @@ fn tiny_time_budget_degrades_cleanly_on_s9234() {
 }
 
 /// Expansion caps are deterministic: the same capped run twice gives the
-/// same partial result, and that result is audit-clean.
+/// same partial result, and that result is audit-clean. Every stage
+/// spends the cap in net order, so this holds wherever it runs out; the
+/// 50-expansion cap runs out in global routing.
 #[test]
 fn expansion_cap_is_deterministic_and_audit_clean() {
     let c = quick("S5378", 1);
-    let config =
-        RouterConfig::stitch_aware().with_budget(RunBudget::with_max_expansions(2_000));
-    let a = route_and_audit(&c, config.clone());
-    let b = route_and_audit(&c, config);
-    assert!(a.is_degraded(), "a 2k-expansion cap must bite");
-    assert_eq!(a.degradations, b.degradations);
-    assert_eq!(a.detailed.geometry, b.detailed.geometry);
-    assert_eq!(a.tracks.segments, b.tracks.segments);
-    assert_eq!(a.report.wirelength, b.report.wirelength);
+    for cap in [2_000, 50] {
+        let config = RouterConfig::stitch_aware().with_budget(RunBudget::with_max_expansions(cap));
+        let a = route_and_audit(&c, config.clone());
+        let b = route_and_audit(&c, config);
+        assert!(a.is_degraded(), "a {cap}-expansion cap must bite");
+        if cap == 50 {
+            assert!(
+                a.degradations
+                    .iter()
+                    .any(|d| d.stage == Stage::Global && d.kind == DegradationKind::BudgetExhausted),
+                "the 50-expansion cap must run out in global routing: {:?}",
+                a.degradations
+            );
+        }
+        assert_eq!(a.degradations, b.degradations, "cap {cap}");
+        assert_eq!(a.global.routes, b.global.routes, "cap {cap}");
+        assert_eq!(a.tracks.segments, b.tracks.segments, "cap {cap}");
+        assert_eq!(a.detailed.routed, b.detailed.routed, "cap {cap}");
+        assert_eq!(a.detailed.geometry, b.detailed.geometry, "cap {cap}");
+        assert_eq!(a.report.wirelength, b.report.wirelength, "cap {cap}");
+    }
 }
 
 /// A budget that is spent on arrival is a typed error, not a panic and

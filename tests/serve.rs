@@ -9,15 +9,14 @@
 //!   battery, protocol garbage and mid-flight disconnects produce 4xx
 //!   bodies or clean disconnect accounting, never a 500 or a hung
 //!   worker;
-//! * a cache hit is **bit-identical** to the cold run, and neither the
-//!   server's worker count nor the job's `threads` field leaks into a
-//!   response body;
+//! * a cache hit is **bit-identical** to the cold run, and the server's
+//!   worker count does not leak into a response body;
 //! * a full queue answers `429` instead of queueing unboundedly, and a
 //!   drain interrupts in-flight jobs without dropping any accepted
 //!   connection on the floor;
 //! * every reproducible result is cached — degraded ones too, when no
-//!   budget could have cut them short — and requests whose bodies differ
-//!   never share a cache entry;
+//!   wall-clock budget could have cut them short — and requests whose
+//!   bodies differ never share a cache entry;
 //! * the acceptor blocks in `accept` yet notices a drain within a tick,
 //!   and accepted sockets do not keep the listener's tick as their read
 //!   timeout.
@@ -32,14 +31,11 @@ use std::sync::Mutex;
 use std::time::Duration;
 
 /// Small-but-real routing payload: S5378 scaled to roughly 60 nets,
-/// matching the sizing the differential harness in `tests/parallel.rs`
-/// uses to keep debug CI affordable.
+/// small enough to keep debug CI affordable.
 const SMALL_SCALE: f64 = 0.035;
 
-fn small_payload(seed: u64, threads: usize) -> String {
-    format!(
-        "{{\"bench\":\"S5378\",\"seed\":{seed},\"scale\":{SMALL_SCALE},\"threads\":{threads}}}"
-    )
+fn small_payload(seed: u64) -> String {
+    format!("{{\"bench\":\"S5378\",\"seed\":{seed},\"scale\":{SMALL_SCALE}}}")
 }
 
 /// Runs `f` against a live server and returns the drain report. The
@@ -130,7 +126,7 @@ fn observability_and_typed_protocol_errors() {
 #[test]
 fn cache_hit_is_bit_identical_to_cold_run() {
     let report = with_server(ServeConfig::default(), |client, _| {
-        let payload = small_payload(2013, 1);
+        let payload = small_payload(2013);
         let cold = client.post_json("/route", &payload).expect("cold route");
         assert_eq!(cold.status, 200, "{}", cold.body_text());
         assert_eq!(cold.header("x-cache"), Some("miss"));
@@ -142,14 +138,6 @@ fn cache_hit_is_bit_identical_to_cold_run() {
         assert_eq!(warm.header("x-cache"), Some("hit"));
         assert_eq!(warm.body, cold.body, "cached body must be byte-identical");
 
-        // `threads` is output-invisible, so it must also be cache-key
-        // invisible: a different thread count still hits.
-        let threaded = client
-            .post_json("/route", &small_payload(2013, 4))
-            .expect("threads=4 route");
-        assert_eq!(threaded.header("x-cache"), Some("hit"));
-        assert_eq!(threaded.body, cold.body);
-
         // The audit endpoint keys separately but caches the same way.
         let audit_cold = client.post_json("/audit", &payload).expect("cold audit");
         assert_eq!(audit_cold.status, 200, "{}", audit_cold.body_text());
@@ -159,15 +147,14 @@ fn cache_hit_is_bit_identical_to_cold_run() {
         assert_eq!(audit_warm.header("x-cache"), Some("hit"));
         assert_eq!(audit_warm.body, audit_cold.body);
     });
-    assert_eq!(report.cache_hits, 3, "report: {report:?}");
+    assert_eq!(report.cache_hits, 2, "report: {report:?}");
     assert!(report.clean >= 2, "report: {report:?}");
 }
 
 #[test]
 fn bodies_are_invariant_across_worker_and_thread_counts() {
     // Caching disabled so every request recomputes; any divergence
-    // between server worker counts or job thread counts shows up as a
-    // byte difference.
+    // between server worker counts shows up as a byte difference.
     let mut bodies: Vec<Vec<u8>> = Vec::new();
     for workers in [1, 4] {
         let config = ServeConfig {
@@ -176,23 +163,19 @@ fn bodies_are_invariant_across_worker_and_thread_counts() {
             ..ServeConfig::default()
         };
         with_server(config, |client, _| {
-            for threads in [1, 4] {
-                let r = client
-                    .post_json("/route", &small_payload(2013, threads))
-                    .expect("route");
-                assert_eq!(r.status, 200, "{}", r.body_text());
-                assert_eq!(r.header("x-cache"), Some("miss"), "cache is disabled");
-                bodies.push(r.body);
-            }
+            let r = client
+                .post_json("/route", &small_payload(2013))
+                .expect("route");
+            assert_eq!(r.status, 200, "{}", r.body_text());
+            assert_eq!(r.header("x-cache"), Some("miss"), "cache is disabled");
+            bodies.push(r.body);
         });
     }
-    assert_eq!(bodies.len(), 4);
-    for body in &bodies[1..] {
-        assert_eq!(
-            body, &bodies[0],
-            "response bodies must not depend on worker or thread counts"
-        );
-    }
+    assert_eq!(bodies.len(), 2);
+    assert_eq!(
+        bodies[1], bodies[0],
+        "response bodies must not depend on the worker count"
+    );
 }
 
 /// Renders one battery fault as a `/route` payload. Text faults corrupt
@@ -200,9 +183,8 @@ fn bodies_are_invariant_across_worker_and_thread_counts() {
 /// requests (starved budgets, degenerate periods), which must come back
 /// as typed responses too.
 fn fault_payload(fault: Fault, seed: u64) -> String {
-    let base = format!(
-        "{{\n\"bench\": \"S5378\",\n\"seed\": {seed},\n\"scale\": {SMALL_SCALE},\n\"threads\": 2\n}}"
-    );
+    let base =
+        format!("{{\n\"bench\": \"S5378\",\n\"seed\": {seed},\n\"scale\": {SMALL_SCALE}\n}}");
     match fault {
         Fault::TruncateText { permille } => truncate_text(&base, permille),
         Fault::FlipBit { index } => flip_bit(&base, index),
@@ -210,7 +192,7 @@ fn fault_payload(fault: Fault, seed: u64) -> String {
         Fault::ZeroCapacity => {
             format!("{{\"bench\":\"S5378\",\"seed\":{seed},\"scale\":{SMALL_SCALE},\"period\":2}}")
         }
-        Fault::AdversarialPins { seed } => small_payload(seed, 2),
+        Fault::AdversarialPins { seed } => small_payload(seed),
         Fault::TinyNodeCap { cap } => format!(
             "{{\"bench\":\"S5378\",\"seed\":{seed},\"scale\":{SMALL_SCALE},\"max_expansions\":{cap}}}"
         ),
@@ -274,7 +256,7 @@ fn concurrent_fault_battery_stays_typed_and_alive() {
         let health = client.get("/healthz").expect("healthz after battery");
         assert!(health.body_text().contains("\"status\":\"ok\""));
         let r = client
-            .post_json("/route", &small_payload(99, 1))
+            .post_json("/route", &small_payload(99))
             .expect("route after battery");
         assert_eq!(r.status, 200, "{}", r.body_text());
         let metrics = client.get("/metrics").expect("metrics");
@@ -316,7 +298,7 @@ fn full_queue_backpressures_and_drain_cancels_in_flight() {
                 // 429. A refused socket may also surface as a reset on
                 // loopback; both count as refusal, neither may hang.
                 std::thread::sleep(Duration::from_millis(500));
-                let outcome = match client.post_json("/route", &small_payload(role as u64, 1)) {
+                let outcome = match client.post_json("/route", &small_payload(role as u64)) {
                     Ok(r) => Ok(r.status),
                     Err(e) => Err(e.to_string()),
                 };
@@ -361,7 +343,7 @@ fn warm_restart_serves_bit_identical_disk_hits() {
         store_dir: Some(store_dir.clone()),
         ..ServeConfig::default()
     };
-    let payload = small_payload(2026, 1);
+    let payload = small_payload(2026);
     let cold_body: Mutex<Vec<u8>> = Mutex::new(Vec::new());
     with_server(config(), |client, _| {
         let cold = client.post_json("/route", &payload).expect("cold route");
@@ -408,7 +390,7 @@ fn supervised_worker_survives_an_injected_panic() {
     };
     let report = with_server(config, |client, _| {
         let r = client
-            .post_json("/route", &small_payload(666, 1))
+            .post_json("/route", &small_payload(666))
             .expect("panicking job still answered");
         assert_eq!(r.status, 500, "{}", r.body_text());
         assert!(r.body_text().contains("worker-panic"), "{}", r.body_text());
@@ -416,7 +398,7 @@ fn supervised_worker_survives_an_injected_panic() {
         // The lone worker was supervised, not killed: the very next
         // job on the same pool routes cleanly.
         let ok = client
-            .post_json("/route", &small_payload(667, 1))
+            .post_json("/route", &small_payload(667))
             .expect("route after panic");
         assert_eq!(ok.status, 200, "{}", ok.body_text());
         let metrics = client.get("/metrics").expect("metrics").body_text();
@@ -442,7 +424,7 @@ fn bounded_retry_rides_out_backpressure() {
             // early attempts bounce with 429 (or a loopback reset);
             // the bounded retry must ride all of that out.
             let r = client
-                .post_json_retry("/route", &small_payload(500 + role as u64, 1), 200)
+                .post_json_retry("/route", &small_payload(500 + role as u64), 200)
                 .expect("retry exhausted on transport errors");
             outcomes.lock().expect("outcomes").push(r.status);
         });
@@ -509,38 +491,25 @@ fn inline_text_of_a_benchmark_does_not_alias_its_cache_entry() {
     });
 }
 
-/// Routes 3 of its 4 nets, leaving one `search-exhausted` record, at
-/// every thread count: blockages ring one pin on every layer, so no
-/// router can reach it.
+/// Routes 3 of its 4 nets, leaving one `search-exhausted` record:
+/// blockages ring one pin on every layer, so no router can reach it.
 const SEALED_PIN: &str = include_str!("data/sealed_pin.txt");
 
-fn sealed_pin_payload(threads: usize, extra: &str) -> String {
+fn sealed_pin_payload(extra: &str) -> String {
     let circuit = Json::Str(SEALED_PIN.to_string()).encode();
-    format!("{{\"circuit\":{circuit},\"threads\":{threads}{extra}}}")
+    format!("{{\"circuit\":{circuit}{extra}}}")
 }
 
-/// An unbudgeted degraded result is a pure function of its request
-/// (DESIGN.md §9), so it is cached like a clean one; a budgeted one is
-/// not, because the budget may cut a rerun short elsewhere.
+/// A degraded result is a pure function of its request unless a
+/// wall-clock budget could have cut it short (DESIGN.md §9). An
+/// unbudgeted or expansion-capped one is cached like a clean one; a
+/// `budget_ms` one is not, because the deadline may cut a rerun short
+/// elsewhere.
 #[test]
-fn unbudgeted_degraded_results_are_cached() {
-    // Reference: the same job at 4 threads, computed with caching off.
-    let wide: Mutex<Vec<u8>> = Mutex::new(Vec::new());
-    let uncached = ServeConfig {
-        cache_capacity: 0,
-        ..ServeConfig::default()
-    };
-    with_server(uncached, |client, _| {
-        let r = client
-            .post_json("/route", &sealed_pin_payload(4, ""))
-            .expect("4-thread route");
-        assert_eq!(r.header("x-cache"), Some("miss"));
-        *wide.lock().expect("wide") = r.body;
-    });
-
+fn degraded_results_are_cached_unless_time_budgeted() {
     let report = with_server(ServeConfig::default(), |client, _| {
         let cold = client
-            .post_json("/route", &sealed_pin_payload(1, ""))
+            .post_json("/route", &sealed_pin_payload(""))
             .expect("cold route");
         assert_eq!(cold.status, 200, "{}", cold.body_text());
         assert_eq!(cold.header("x-cache"), Some("miss"));
@@ -548,28 +517,33 @@ fn unbudgeted_degraded_results_are_cached() {
         assert!(text.contains("\"status\":\"degraded\""), "{text}");
         assert!(text.contains("\"routed_nets\":3"), "{text}");
         assert_eq!(text.matches("search-exhausted").count(), 1, "{text}");
-        assert_eq!(
-            cold.body,
-            *wide.lock().expect("wide"),
-            "thread-count invariant"
+        let warm = client
+            .post_json("/route", &sealed_pin_payload(""))
+            .expect("warm route");
+        assert_eq!(warm.header("x-cache"), Some("hit"));
+        assert_eq!(warm.body, cold.body);
+
+        // An expansion cap is spent in the same order on every run, so
+        // its degraded result repeats byte for byte.
+        let capped = sealed_pin_payload(",\"max_expansions\":500");
+        let capped_cold = client.post_json("/route", &capped).expect("capped route");
+        assert_eq!(capped_cold.status, 200, "{}", capped_cold.body_text());
+        assert!(
+            capped_cold.body_text().contains("budget-exhausted"),
+            "{}",
+            capped_cold.body_text()
         );
+        assert_eq!(capped_cold.header("x-cache"), Some("miss"));
+        let capped_warm = client.post_json("/route", &capped).expect("capped repeat");
+        assert_eq!(capped_warm.header("x-cache"), Some("hit"));
+        assert_eq!(capped_warm.body, capped_cold.body);
 
-        for threads in [1, 4] {
-            let warm = client
-                .post_json("/route", &sealed_pin_payload(threads, ""))
-                .expect("warm route");
-            assert_eq!(warm.header("x-cache"), Some("hit"), "threads {threads}");
-            assert_eq!(warm.body, cold.body, "threads {threads}");
-        }
-
-        let budgeted = sealed_pin_payload(1, ",\"max_expansions\":500");
+        let timed = sealed_pin_payload(",\"budget_ms\":60000");
         for _ in 0..2 {
-            let r = client
-                .post_json("/route", &budgeted)
-                .expect("budgeted route");
+            let r = client.post_json("/route", &timed).expect("timed route");
             assert_eq!(r.status, 200, "{}", r.body_text());
             assert!(
-                r.body_text().contains("budget-exhausted"),
+                r.body_text().contains("\"status\":\"degraded\""),
                 "{}",
                 r.body_text()
             );
@@ -577,7 +551,7 @@ fn unbudgeted_degraded_results_are_cached() {
         }
     });
     assert_eq!(report.cache_hits, 2, "report: {report:?}");
-    assert_eq!(report.degraded, 3, "report: {report:?}");
+    assert_eq!(report.degraded, 4, "report: {report:?}");
 }
 
 /// The acceptor blocks in `accept`, waking once per tick to check for a
@@ -614,7 +588,7 @@ fn idle_server_drains_within_a_tick() {
 #[test]
 fn a_body_arriving_after_a_pause_is_still_answered() {
     with_server(ServeConfig::default(), |client, _| {
-        let body = small_payload(7, 1);
+        let body = small_payload(7);
         let head = format!(
             "POST /route HTTP/1.1\r\ncontent-length: {}\r\nconnection: close\r\n\r\n",
             body.len()

@@ -1,6 +1,6 @@
 //! Differential and distributed harness for sharded panel routing.
 //!
-//! Two contracts, mirroring `tests/parallel.rs` and `tests/serve.rs`:
+//! Two contracts, the second mirroring `tests/serve.rs`:
 //!
 //! * **Shard-count invariance** — the panel decomposition is a pure
 //!   function of `(circuit, stitch config)`, so the merged outcome must
@@ -28,7 +28,8 @@ use std::time::Duration;
 /// The fan-out widths every differential test sweeps.
 const SHARDS: [usize; 3] = [1, 2, 4];
 
-/// The sizing `tests/parallel.rs` uses to keep debug CI affordable.
+/// S5378 scaled to roughly 60 nets: small enough to keep debug CI
+/// affordable.
 const SMALL_SCALE: f64 = 0.035;
 
 fn scaled(spec: &BenchmarkSpec, seed: u64, target_nets: usize) -> Circuit {

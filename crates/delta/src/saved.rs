@@ -11,7 +11,6 @@
 //! ```text
 //! meblout 1 <stitch|baseline>
 //! stitch <period> <epsilon> <escape_width>
-//! parallelism 1
 //! circuit-begin
 //! <mebl-netlist text format>
 //! circuit-end
@@ -23,10 +22,9 @@
 //! deg <stage> <kind> <net|-> <detail...>
 //! ```
 //!
-//! The `parallelism` line is fixed: a route runs on one thread, and the
-//! reader skips the line, whatever number older files carry. It stays
-//! in the text so that saved outcomes, `/route/outcome` bodies and the
-//! daemon's stored records keep their bytes.
+//! Older writers also recorded a `parallelism <n>` line after the
+//! `stitch` line. A route runs on one thread, so the writer no longer
+//! emits it and the reader skips it, whatever the number.
 //!
 //! The track-assignment stage is intentionally not serialised: detailed
 //! geometry is the authoritative routed shape, the auditor never reads
@@ -132,7 +130,6 @@ pub fn outcome_to_string(saved: &SavedOutcome) -> String {
     let _ = writeln!(out, "meblout 1 {mode}");
     let s = saved.stitch_config();
     let _ = writeln!(out, "stitch {} {} {}", s.period, s.epsilon, s.escape_width);
-    out.push_str("parallelism 1\n");
     out.push_str("circuit-begin\n");
     out.push_str(&circuit_to_string(&saved.circuit));
     out.push_str("circuit-end\n");
@@ -453,11 +450,26 @@ mod tests {
         assert_eq!(a, b);
         // And re-serialising the parsed outcome is byte-identical.
         assert_eq!(outcome_to_string(&back), text);
-        // The reader skips the worker count an older writer recorded.
-        let wide = text.replacen("\nparallelism 1\n", "\nparallelism 4\n", 1);
-        assert_ne!(wide, text);
-        let wide_back = outcome_from_str(&wide).unwrap();
-        assert_eq!(outcome_to_string(&wide_back), text);
+        // The reader skips the worker count an older writer recorded
+        // after the `stitch` line, and the writer drops it.
+        assert!(!text.contains("parallelism"));
+        let stitch_end = text.find("\ncircuit-begin\n").unwrap() + 1;
+        let mut old = text.clone();
+        old.insert_str(stitch_end, "parallelism 4\n");
+        let old_back = outcome_from_str(&old).unwrap();
+        assert_eq!(old_back.circuit, back.circuit);
+        assert_eq!(
+            old_back.outcome.detailed.routed,
+            back.outcome.detailed.routed
+        );
+        assert_eq!(
+            old_back.outcome.detailed.geometry,
+            back.outcome.detailed.geometry
+        );
+        assert_eq!(old_back.outcome.global.routes, back.outcome.global.routes);
+        assert_eq!(old_back.outcome.degradations, back.outcome.degradations);
+        assert_eq!(old_back.outcome.report, back.outcome.report);
+        assert_eq!(outcome_to_string(&old_back), text);
     }
 
     #[test]

@@ -10,8 +10,10 @@
 //! Costs are quantized integers: each step cost is computed in α units
 //! and clamped to [`MAX_STEP_Q`], which bounds the bucket ring while
 //! preserving the ordering of all in-range configurations (the paper's
-//! defaults use single-digit weights). The heuristic unit is clamped
-//! identically, so it stays a consistent lower bound per planar step.
+//! defaults use single-digit weights). The A* bound is read from the
+//! same clamped costs: the columns a path must enter to reach a target
+//! are priced at their own eq. (10) planar cost (escape regions
+//! included), and each row it must cross at the cheapest planar step.
 //!
 //! The same expansion loop runs a *soft* search for the blocker round:
 //! cells a [`Rippable`] admits are passable, and paths are ordered by
@@ -68,6 +70,10 @@ pub(crate) struct CostField {
     on_line: Vec<bool>,
     planar: Vec<u32>,
     via: Vec<u32>,
+    /// Prefix sums of `planar`: `planar_sum[x]` is the cost of entering
+    /// every column left of `x` once.
+    planar_sum: Vec<u64>,
+    /// The cheapest planar step: the A* bound's price per row crossed.
     h_unit: u64,
     /// Bucket-ring span: the largest key increment a single expansion
     /// can produce (step plus heuristic drift).
@@ -131,12 +137,18 @@ impl CostField {
             .copied()
             .max()
             .unwrap_or(1);
+        let planar_sum = std::iter::once(0)
+            .chain(planar.iter().scan(0u64, |sum, &p| {
+                *sum += u64::from(p);
+                Some(*sum)
+            }))
+            .collect();
         Self {
             on_line,
             planar,
             via,
-            // The clamp is monotone, so h_unit <= every planar step and
-            // the heuristic stays consistent.
+            planar_sum,
+            // The clamp is monotone, so h_unit <= every planar step.
             h_unit: alpha.min(MAX_STEP_Q),
             span: 2 * u64::from(max_step),
         }
@@ -349,7 +361,7 @@ impl DialSolver {
         };
         // One bounding box per target component: `h` takes the minimum
         // over them, which stays admissible and consistent (a minimum
-        // of 1-Lipschitz lower bounds) while being far tighter than the
+        // of consistent lower bounds) while being far tighter than the
         // union box whenever the components are spread apart — the
         // union box often *contains* the source, flattening `h` to zero
         // over a wide region. Box count is capped so `h` stays O(1);
@@ -392,21 +404,54 @@ impl DialSolver {
         }
         let win = GridWindow::clamped(w, rows, (bbox.0, bbox.1, bbox.2, bbox.3), i64::from(margin));
 
-        // Manhattan distance to the nearest target-component bounding
-        // box, in clamped α units — admissible and consistent (each
-        // planar step costs at least `h_unit` and moves one grid unit).
-        let boxes = &boxes[..nboxes];
-        let h = |x: u32, y: u32| -> u64 {
-            let mut best = u32::MAX;
-            for b in boxes {
-                let dx = b.0.saturating_sub(x).max(x.saturating_sub(b.2));
-                let dy = b.1.saturating_sub(y).max(y.saturating_sub(b.3));
+        // Per target-component bounding box: the eq. (10) cost of the
+        // columns a path must enter to reach the box's x-range, plus
+        // `h_unit` per row to its y-range; `h` is the least over the
+        // boxes. Admissible, because those column entries and row
+        // crossings are distinct steps of any path to the box. And
+        // consistent: an x-move toward the box lowers the bound by
+        // exactly the cost of the column it enters, a y-move changes it
+        // by at most `h_unit` (no more than its cost), and a via leaves
+        // it unchanged. A minimum over boxes keeps all three, so the
+        // first pop of a cell is final. A move raises the bound by at
+        // most one planar step, so a key grows by at most twice the
+        // largest step: the bucket ring's span. With stitch costs off
+        // every column costs `h_unit` and this is the Manhattan bound.
+        //
+        // `h` reads a cell as the summed column cost through its column
+        // and before it (`planar_sum[x + 1]` and `planar_sum[x]`) and its
+        // row times `h_unit`; a box is kept the same way, as the cost
+        // through its first column, the cost before its last, and its
+        // rows times `h_unit`. Left of the box, `first - through` prices
+        // the columns `x+1..=x0`; right of it, `before - last` prices
+        // `x1..x`; every other difference is at most zero and saturates.
+        let sums = &field.planar_sum;
+        let unit = field.h_unit;
+        let mut hboxes = [(0u64, 0u64, 0u64, 0u64); MAX_H_BOXES];
+        for (hb, b) in hboxes.iter_mut().zip(&boxes[..nboxes]) {
+            let (x0, x1) = (b.0 as usize, b.2 as usize);
+            *hb = (
+                sums[x0 + 1],
+                u64::from(b.1) * unit,
+                sums[x1],
+                u64::from(b.3) * unit,
+            );
+        }
+        let hboxes = &hboxes[..nboxes];
+        let h = |through: u64, before: u64, yh: u64| -> u64 {
+            let mut best = u64::MAX;
+            for &(first, y0h, last, y1h) in hboxes {
+                let dx = first.saturating_sub(through) + before.saturating_sub(last);
+                let dy = y0h.saturating_sub(yh).max(yh.saturating_sub(y1h));
                 best = best.min(dx + dy);
                 if best == 0 {
                     break;
                 }
             }
-            u64::from(best) * field.h_unit
+            best
+        };
+        let at = |x: u32, y: u32| -> (u64, u64, u64) {
+            (sums[x as usize + 1], sums[x as usize], u64::from(y) * unit)
         };
 
         for &s in sources {
@@ -416,7 +461,8 @@ impl DialSolver {
                 self.soft_dist[s as usize] = 0;
             }
             let (x, y, l) = local(s);
-            self.queue.push(h(x, y), pack(x, y, l));
+            let (through, before, yh) = at(x, y);
+            self.queue.push(h(through, before, yh), pack(x, y, l));
         }
 
         let mut expanded = 0usize;
@@ -456,9 +502,12 @@ impl DialSolver {
 
             let lx = x as usize;
             let src_on_line = field.on_line[lx];
-            // Via moves keep (x, y), so both share this pop's h value;
-            // planar moves shift a coordinate and re-evaluate.
-            let hxy = h(x, y);
+            // Via moves keep (x, y), so both share this pop's h value.
+            // A planar move's inputs follow from this cell's and the
+            // step: an x-move shifts the column sums by the cost of the
+            // column it enters, a y-move the row by one `h_unit`.
+            let (through, before, yh) = at(x, y);
+            let hxy = h(through, before, yh);
             // Candidate moves as (node, packed coordinates, step cost);
             // neighbour coordinates are one add on the packed word.
             // Hard constraints (no riding a stitching line vertically;
@@ -529,11 +578,13 @@ impl DialSolver {
                 };
                 let word_dist = if SOFT { 0 } else { nd << DIST_SHIFT };
                 self.cells[vi] = tag | word_dist | dir << DIR_SHIFT | flags | DISCOVERED;
-                let hq = if dir >= 4 {
-                    hxy
-                } else {
-                    let (qx, qy, _) = unpack(q);
-                    h(qx, qy)
+                let step = u64::from(step);
+                let hq = match dir {
+                    0 => h(before, before - step, yh),
+                    1 => h(through + step, through, yh),
+                    2 => h(through, before, yh - unit),
+                    3 => h(through, before, yh + unit),
+                    _ => hxy,
                 };
                 self.queue.push(nd.saturating_add(hq), q);
             }
@@ -565,6 +616,9 @@ mod tests {
     use super::*;
     use mebl_geom::{GridPoint, Layer, Rect};
     use mebl_stitch::StitchConfig;
+    use mebl_testkit::{Rng, SplitMix64};
+    use std::cmp::Reverse;
+    use std::collections::BinaryHeap;
 
     fn setup() -> (DetailedGrid, StitchPlan) {
         let outline = Rect::new(0, 0, 39, 29);
@@ -834,5 +888,304 @@ mod tests {
         let along = soft_path_with_pins(&grid, &field, at(15, 2, 0), at(15, 20, 0), &none, &pins)
             .expect("along");
         check(&along, &pins);
+    }
+
+    /// The eq. (10) weights of one optimality-oracle case.
+    #[derive(Debug)]
+    struct Weights {
+        alpha: u64,
+        beta: u64,
+        gamma: u64,
+        via_cost: u64,
+        stitch_costs: bool,
+    }
+
+    impl Weights {
+        /// Legal moves out of `p` with their eq. (10) step costs, read
+        /// from the plan's region queries: x-moves on even layers,
+        /// y-moves on odd layers off the stitching lines, and vias off
+        /// the lines or at the net's own pins on them.
+        fn moves(
+            &self,
+            grid: &DetailedGrid,
+            plan: &StitchPlan,
+            own_pins: &FastSet<Point>,
+            p: GridPoint,
+        ) -> Vec<(GridPoint, u64)> {
+            let inside = |x: Coord, y: Coord| grid.outline().contains(Point::new(x, y));
+            let planar = |x: Coord| {
+                let escape = self.stitch_costs && plan.in_escape_region(x);
+                self.alpha + if escape { self.gamma } else { 0 }
+            };
+            let on_line = plan.is_on_line(p.x);
+            let mut out = Vec::new();
+            if p.layer.index().is_multiple_of(2) {
+                for x in [p.x - 1, p.x + 1] {
+                    if inside(x, p.y) {
+                        out.push((GridPoint::new(x, p.y, p.layer), planar(x)));
+                    }
+                }
+            } else if !on_line {
+                for y in [p.y - 1, p.y + 1] {
+                    if inside(p.x, y) {
+                        out.push((GridPoint::new(p.x, y, p.layer), planar(p.x)));
+                    }
+                }
+            }
+            if !on_line || own_pins.contains(&p.point()) {
+                let unfriendly = self.stitch_costs && plan.in_unfriendly_region(p.x);
+                let via = self.alpha * self.via_cost + if unfriendly { self.beta } else { 0 };
+                let l = p.layer.index();
+                for nl in [l.wrapping_sub(1), l + 1] {
+                    if nl < grid.layers() {
+                        out.push((GridPoint::new(p.x, p.y, Layer::new(nl)), via));
+                    }
+                }
+            }
+            out
+        }
+    }
+
+    /// A soft search's licence, restated for the oracle: `nets[o]`
+    /// flags the nets whose cells may be entered, except `pins`.
+    struct Licence<'a> {
+        nets: &'a [bool],
+        pins: &'a FastSet<u32>,
+    }
+
+    /// Whether `net`'s search may enter `v`, and whether that enters a
+    /// foreign cell.
+    fn entry(grid: &DetailedGrid, net: u32, v: u32, soft: Option<&Licence>) -> Option<bool> {
+        match grid.occupant(v) {
+            None => Some(false),
+            Some(o) if o == net => Some(false),
+            Some(o) => soft
+                .is_some_and(|l| l.nets[o as usize] && !l.pins.contains(&v))
+                .then_some(true),
+        }
+    }
+
+    /// Plain Dijkstra over the whole grid, keyed by (foreign cells
+    /// entered, eq. (10) cost): the least key at which any target is
+    /// reached, or `None` if none is. Without a licence no foreign
+    /// cell is passable and the first part stays zero.
+    #[allow(clippy::too_many_arguments)]
+    fn oracle(
+        weights: &Weights,
+        grid: &DetailedGrid,
+        plan: &StitchPlan,
+        net: u32,
+        own_pins: &FastSet<Point>,
+        sources: &[u32],
+        targets: &FastSet<u32>,
+        soft: Option<&Licence>,
+    ) -> Option<(u64, u64)> {
+        let mut dist = vec![(u64::MAX, u64::MAX); grid.cell_count()];
+        let mut heap = BinaryHeap::new();
+        for &s in sources {
+            dist[s as usize] = (0, 0);
+            heap.push(Reverse(((0, 0), s)));
+        }
+        while let Some(Reverse((d, u))) = heap.pop() {
+            if d > dist[u as usize] {
+                continue;
+            }
+            if targets.contains(&u) {
+                return Some(d);
+            }
+            for (q, step) in weights.moves(grid, plan, own_pins, grid.point(u)) {
+                let v = grid.node(q);
+                let Some(foreign) = entry(grid, net, v, soft) else {
+                    continue;
+                };
+                let nd = (d.0 + u64::from(foreign), d.1 + step);
+                if nd < dist[v as usize] {
+                    dist[v as usize] = nd;
+                    heap.push(Reverse((nd, v)));
+                }
+            }
+        }
+        None
+    }
+
+    /// The (foreign cells entered, eq. (10) cost) of `path`, checking
+    /// that it runs from a source to a target by legal moves into cells
+    /// the search may enter.
+    #[allow(clippy::too_many_arguments)]
+    fn path_key(
+        weights: &Weights,
+        grid: &DetailedGrid,
+        plan: &StitchPlan,
+        net: u32,
+        own_pins: &FastSet<Point>,
+        sources: &[u32],
+        targets: &FastSet<u32>,
+        soft: Option<&Licence>,
+        path: &[u32],
+    ) -> (u64, u64) {
+        assert!(sources.contains(&path[0]), "path starts off the sources");
+        assert!(
+            targets.contains(&path[path.len() - 1]),
+            "path ends off the targets"
+        );
+        let mut key = (0, 0);
+        for step in path.windows(2) {
+            let (a, b) = (grid.point(step[0]), grid.point(step[1]));
+            let cost = weights
+                .moves(grid, plan, own_pins, a)
+                .into_iter()
+                .find_map(|(q, c)| (q == b).then_some(c))
+                .unwrap_or_else(|| panic!("illegal move {a:?} -> {b:?}"));
+            let foreign = entry(grid, net, step[1], soft)
+                .unwrap_or_else(|| panic!("entered a blocked cell at {b:?}"));
+            key = (key.0 + u64::from(foreign), key.1 + cost);
+        }
+        key
+    }
+
+    /// Optimality oracle: on seeded random small grids (2–4 layers,
+    /// random stitch geometry and weights, stitch costs on and off, up
+    /// to 35% foreign cells, several target components, random own
+    /// pins), a whole-grid uncapped search finds a path exactly when
+    /// plain Dijkstra reaches a target, and its path costs the least.
+    /// A soft search must match the oracle's (foreign cells, cost)
+    /// optimum the same way. This is what makes the A* bound safe to
+    /// tighten: an inadmissible or inconsistent bound returns a dearer
+    /// path.
+    #[test]
+    fn searches_return_least_cost_paths() {
+        const CASES: usize = 3000;
+        let mut rng = SplitMix64::from_seed(0x00d1_a1e5);
+        let (mut hard_found, mut soft_found) = (0, 0);
+        for case in 0..CASES {
+            let width = rng.gen_range(4..=28);
+            let height = rng.gen_range(2..=10);
+            let (x0, y0) = (rng.gen_range(-16..=16), rng.gen_range(-4..=4));
+            let outline = Rect::new(x0, y0, x0 + width - 1, y0 + height - 1);
+            let epsilon = rng.gen_range(0..=2);
+            let stitch = StitchConfig {
+                period: rng.gen_range(2..=12),
+                epsilon,
+                escape_width: rng.gen_range(epsilon..=epsilon + 4),
+            };
+            let plan = StitchPlan::new(outline, stitch);
+            let weights = Weights {
+                alpha: rng.gen_range(0..=4),
+                beta: rng.gen_range(0..=12),
+                gamma: rng.gen_range(0..=8),
+                via_cost: rng.gen_range(0..=4),
+                stitch_costs: rng.gen_bool(0.5),
+            };
+            let mut grid = DetailedGrid::new(outline, rng.gen_range(2u8..=4));
+            let cells = grid.cell_count() as u32;
+            let density = rng.gen_f64() * 0.35;
+            for c in 0..cells {
+                if rng.gen_bool(density) {
+                    grid.occupy(c, rng.gen_range(1..=3));
+                }
+            }
+            // Distinct cells for the sources and every target component,
+            // all owned by net 0; one case in ten has enough components
+            // to fold the last bounding boxes into one.
+            let mut taken = FastSet::default();
+            let mut pick = |rng: &mut SplitMix64| loop {
+                let c = rng.gen_range(0..cells);
+                if taken.insert(c) {
+                    return c;
+                }
+            };
+            let mut sources: Vec<u32> = (0..rng.gen_range(1..=3)).map(|_| pick(&mut rng)).collect();
+            sources.sort_unstable();
+            let ncomps = if rng.gen_bool(0.1) {
+                9
+            } else {
+                rng.gen_range(1..=3)
+            };
+            let comps: Vec<FastSet<u32>> = (0..ncomps)
+                .map(|_| (0..rng.gen_range(1..=2)).map(|_| pick(&mut rng)).collect())
+                .collect();
+            let targets: FastSet<u32> = comps.iter().flatten().copied().collect();
+            for &c in sources.iter().chain(&targets) {
+                grid.occupy(c, 0);
+            }
+            let mut own_pins: FastSet<Point> = sources
+                .iter()
+                .chain(&targets)
+                .filter(|_| rng.gen_bool(0.5))
+                .map(|&c| grid.point(c).point())
+                .collect();
+            for _ in 0..rng.gen_range(0..=3) {
+                let c = rng.gen_range(0..cells);
+                own_pins.insert(grid.point(c).point());
+            }
+            let field = CostField::build(
+                &grid,
+                &plan,
+                weights.alpha,
+                weights.beta,
+                weights.gamma,
+                weights.via_cost,
+                weights.stitch_costs,
+            );
+            let nets = [
+                false,
+                rng.gen_bool(0.7),
+                rng.gen_bool(0.7),
+                rng.gen_bool(0.7),
+            ];
+            let pins: FastSet<u32> = (0..cells)
+                .filter(|&c| grid.occupant(c).is_some_and(|o| o != 0) && rng.gen_bool(0.2))
+                .collect();
+            let licence = Licence {
+                nets: &nets,
+                pins: &pins,
+            };
+            let rippable = Rippable {
+                nets: &nets,
+                pins: &pins,
+            };
+            let what = format!("case {case}: {stitch:?} {weights:?} {outline:?}");
+            for (soft, licence) in [(None, None), (Some(&rippable), Some(&licence))] {
+                let path = DialSolver::new(field.span).find_path(
+                    &grid,
+                    &field,
+                    0,
+                    &own_pins,
+                    &sources,
+                    &comps,
+                    Coord::MAX,
+                    usize::MAX,
+                    &CancelToken::default(),
+                    soft,
+                );
+                let best = oracle(
+                    &weights, &grid, &plan, 0, &own_pins, &sources, &targets, licence,
+                );
+                assert_eq!(
+                    path.is_some(),
+                    best.is_some(),
+                    "reachability differs, {what}"
+                );
+                if let (Some(path), Some(best)) = (path, best) {
+                    let key = path_key(
+                        &weights, &grid, &plan, 0, &own_pins, &sources, &targets, licence, &path,
+                    );
+                    assert_eq!(
+                        key,
+                        best,
+                        "not a least-cost path (soft: {}), {what}",
+                        soft.is_some()
+                    );
+                    if soft.is_some() {
+                        soft_found += 1;
+                    } else {
+                        hard_found += 1;
+                    }
+                }
+            }
+        }
+        // Enough cases reach a target for the comparison to bite.
+        assert!(hard_found > CASES / 4, "only {hard_found} hard paths");
+        assert!(soft_found > hard_found, "only {soft_found} soft paths");
     }
 }

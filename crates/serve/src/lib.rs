@@ -138,9 +138,13 @@ impl Default for ServeConfig {
 /// bump keeps the tag naming the key scheme a record was written under.
 /// v7: detailed routing routes its nets in net order on the live grid
 /// instead of in speculative batches, so a v6 record holds a layout the
-/// same key now routes to different bytes.
+/// same key now routes to different bytes. v8: the detailed search's A*
+/// bound prices the escape-region columns between a cell and its
+/// target, which breaks ties between equal-cost paths differently, and
+/// `/route/outcome` bodies lost their `parallelism 1` line, so a v7
+/// record holds bytes the same key no longer produces.
 fn store_fingerprint() -> u64 {
-    mebl_store::fnv1a(b"mebl-serve stored-response v7")
+    mebl_store::fnv1a(b"mebl-serve stored-response v8")
 }
 
 /// Encodes a cacheable response for the store: status (u16 LE) ‖ body.

@@ -21,7 +21,7 @@ use crate::split::{PanelJob, ShardPlan};
 use mebl_geom::Coord;
 use mebl_netlist::{Circuit, CircuitIssue};
 use mebl_par::Pool;
-use mebl_route::{CancelToken, Router, RouterConfig, RoutingOutcome, RunBudget};
+use mebl_route::{CancelToken, Router, RouterConfig, RoutingOutcome, RunBudget, Stopwatch};
 use mebl_stitch::StitchConfig;
 
 /// Options for one sharded run.
@@ -149,7 +149,8 @@ pub fn route_sharded_under(
 /// The one sharded driver: pre-flight, split, route every panel with
 /// `route_panel` over a pool `opts.shards` wide (clamped to the panel
 /// count), then either the first failed panel's error in job order or
-/// the merge.
+/// the merge. The merged report's `elapsed` is the driver's wall time,
+/// pre-flight through merge.
 /// [`route_sharded_under`] passes an in-process router; the coordinator
 /// passes its worker dispatch, so both run the same checks in the same
 /// order and the same merge.
@@ -168,6 +169,7 @@ where
     E: From<ShardError> + Send,
     F: Fn(&PanelJob) -> Result<FragmentOutcome, E> + Sync,
 {
+    let start = Stopwatch::start();
     preflight(circuit, opts)?;
     let plan = ShardPlan::new(circuit, opts.stitch());
     let width = opts.shards.min(plan.jobs.len()).max(1);
@@ -175,7 +177,8 @@ where
         .par_map_indexed(&plan.jobs, |_, job| route_panel(job))
         .into_iter()
         .collect::<Result<Vec<_>, E>>()?;
-    let outcome = merge_fragments(circuit, opts.baseline, &plan, &fragments);
+    let mut outcome = merge_fragments(circuit, opts.baseline, &plan, &fragments);
+    outcome.report.elapsed = start.elapsed();
     Ok(ShardedRun {
         outcome,
         jobs: plan.jobs.len(),

@@ -52,7 +52,8 @@ echo "=== shard-count matrix (route JSON must match at --shards 1 and 4) ==="
 # route's panel jobs out, is the one width left. The smoke circuit must
 # route to the same JSON at --shards 1 and --shards 4 (the elapsed_ms
 # timing field aside), unbudgeted and under an expansion cap that leaves
-# nets unrouted.
+# nets unrouted. The unbudgeted sharded run must also report its wall
+# time: an elapsed_ms of 0.0 means the merge dropped it.
 mebl="target/release/mebl"
 strip_elapsed() { sed 's/,"elapsed_ms":[^,}]*//'; }
 matrix_dir=$(mktemp -d)
@@ -65,15 +66,24 @@ sharded_json() {
     else
         set -- --shards "$1" --max-expansions "$2"
     fi
-    { "$mebl" route "$matrix_dir/f.txt" "$@" --json 2>/dev/null || true; } | strip_elapsed
+    "$mebl" route "$matrix_dir/f.txt" "$@" --json 2>/dev/null || true
 }
 for cap in none 300; do
     want='"status":"degraded"'
     if [ "$cap" = none ]; then
         want='"status":"ok"'
     fi
-    one=$(sharded_json 1 "$cap")
+    one=$(sharded_json 1 "$cap" | strip_elapsed)
     four=$(sharded_json 4 "$cap")
+    if [ "$cap" = none ]; then
+        case "$four" in
+            *'"elapsed_ms":0.0,'* | *'"elapsed_ms":0.0}'*)
+                echo "route --shards 4 reported zero elapsed time: $four" >&2
+                exit 1
+                ;;
+        esac
+    fi
+    four=$(echo "$four" | strip_elapsed)
     case "$one" in
         *"$want"*) ;;
         *) echo "route --shards 1 (cap $cap) did not print $want: $one" >&2; exit 1 ;;

@@ -1,13 +1,15 @@
 //! Reproducibility: the whole stack is seeded and deterministic — the
 //! same inputs must give byte-identical outputs across runs.
 
-use mebl_assign::random_instances;
+use mebl_assign::{assign_tracks, extract_panels, random_instances};
 use mebl_delta::{apply_edits, outcome_to_string, route_delta, CircuitEdit, SavedOutcome};
+use mebl_detailed::route_detailed;
+use mebl_global::route_circuit;
 use mebl_netlist::{
     circuit_to_string, full_suite, BenchmarkSpec, Circuit, CircuitIssue, GenerateConfig,
     GENERATOR_FINGERPRINT,
 };
-use mebl_route::{Router, RouterConfig, RoutingOutcome};
+use mebl_route::{CancelToken, Router, RouterConfig, RoutingOutcome};
 use mebl_stitch::StitchPlan;
 use mebl_testkit::{Rng, SplitMix64};
 
@@ -144,20 +146,20 @@ fn scaled(spec: &BenchmarkSpec, nets: f64) -> Circuit {
 /// them (the failure message prints the new table) and says so in
 /// CHANGES.md.
 const SUITE_ROUTE_GOLDENS: [(&str, u64, u64); 14] = [
-    ("Struct", 0xa6cebdb36c8feff7, 0x1eb75a505193d1d2),
-    ("Primary1", 0x82697dd50c3c87f7, 0xe68e6a70ce8be4f9),
-    ("Primary2", 0x777c48f5ee3b9c3e, 0xf71c3cfb74c04d6b),
-    ("S5378", 0x8a7ec0450fc360d6, 0xfb38860978f7c274),
-    ("S9234", 0xabb22ff90b86fcec, 0xd89228dc4d8edfe7),
-    ("S13207", 0x32d874078ecf3e0d, 0xae5fef46fd8c539b),
-    ("S15850", 0x5c99a77db49de2d6, 0x0c426a436acf0637),
-    ("S38417", 0xe19a0622a92522b2, 0xca1c8d32c0bc9aff),
-    ("S38584", 0x6368f88a8cc4a3aa, 0x082853927ae33fd1),
-    ("DMA", 0xe731f69959c0d033, 0x778c28476a04ce98),
-    ("DSP1", 0x6855b3d056cb776b, 0x9e8e5e0bcb16bc00),
-    ("DSP2", 0x3512c320ce8440b4, 0x03801736423d724e),
-    ("RISC1", 0x157c1ad0ba8212c3, 0x91efe18664337f77),
-    ("RISC2", 0xb09069717d451d4a, 0x7ae29dcb44f2c7d0),
+    ("Struct", 0x1218845ea38d8dc7, 0xf59f9113fb3b9d15),
+    ("Primary1", 0x2890c272b763ecd3, 0xe43a697423e202d0),
+    ("Primary2", 0xc554d50e06703868, 0xdfe0d18476583214),
+    ("S5378", 0xbc9adb11a5d250d8, 0xb40cfa04dac219d1),
+    ("S9234", 0x173e8f95b7ee8938, 0xa487715e977e21f4),
+    ("S13207", 0x638198483521ad04, 0x67d69f1a103d1fc4),
+    ("S15850", 0x65ed0086aee3b727, 0x75df1fea13f6ac28),
+    ("S38417", 0xd3b0440b8652265b, 0x1f717d799ef9203e),
+    ("S38584", 0x825a9a462ae729af, 0xcf0282eb638aad42),
+    ("DMA", 0x8cbb7c18c5ab2814, 0x0d9cd98796bee0a7),
+    ("DSP1", 0x7f419a8372cab364, 0xbfaf8501cc8658b9),
+    ("DSP2", 0x564323a24bbe27aa, 0xa3bc1c06749e688d),
+    ("RISC1", 0x8dcfa28bcd392a56, 0x576fb3c841553f52),
+    ("RISC2", 0xdd897471283f6bde, 0x7726d97b57bbcec3),
 ];
 
 #[test]
@@ -184,6 +186,77 @@ fn suite_routes_are_pinned() {
     assert!(
         actual == SUITE_ROUTE_GOLDENS,
         "routed output drifted; the current table is:\n{table}"
+    );
+}
+
+/// Detailed-stage work goldens: `(design, stitch-aware, baseline)`
+/// search expansions of the circuits `SUITE_ROUTE_GOLDENS` routes.
+/// Expansions are a pure function of the input and the config, so this
+/// table gates search work on any host: a search that expands more
+/// cells for the same output fails here. A change that is meant to
+/// alter the search regenerates it (the failure message prints the new
+/// table) and says so in CHANGES.md.
+const SUITE_DETAILED_EXPANSIONS: [(&str, u64, u64); 14] = [
+    ("Struct", 10990, 6645),
+    ("Primary1", 11740, 8646),
+    ("Primary2", 8446, 5488),
+    ("S5378", 8063, 30233),
+    ("S9234", 9604, 8028),
+    ("S13207", 10360, 10642),
+    ("S15850", 8215, 6515),
+    ("S38417", 12654, 8750),
+    ("S38584", 6388, 4927),
+    ("DMA", 60998, 54160),
+    ("DSP1", 35008, 24583),
+    ("DSP2", 28432, 12642),
+    ("RISC1", 174023, 22616),
+    ("RISC2", 26045, 13096),
+];
+
+/// Detailed-stage expansions of one route of `circuit` under `config`:
+/// the stage calls `Router::route` makes, in its order and with its
+/// configs, with an armed token of its own on the detailed stage.
+fn detailed_expansions(circuit: &Circuit, config: &RouterConfig) -> u64 {
+    let plan = StitchPlan::new(circuit.outline(), config.stitch);
+    let mut global_config = config.global.clone();
+    global_config.cancel = CancelToken::armed(None, None);
+    let global = route_circuit(circuit, &plan, &global_config);
+    let mut track_config = config.track.clone();
+    track_config.cancel = CancelToken::armed(None, None);
+    let tracks = assign_tracks(
+        &extract_panels(&global),
+        &global.graph,
+        &plan,
+        circuit.layer_count(),
+        &track_config,
+    );
+    let counter = CancelToken::armed(None, None);
+    let mut detailed_config = config.detailed.clone();
+    detailed_config.cancel = counter.clone();
+    route_detailed(circuit, &plan, &global.graph, &tracks, &detailed_config);
+    counter.expansions()
+}
+
+#[test]
+fn suite_detailed_expansions_are_pinned() {
+    let actual: Vec<(&str, u64, u64)> = full_suite()
+        .iter()
+        .map(|spec| {
+            let circuit = scaled(spec, 60.0);
+            (
+                spec.name,
+                detailed_expansions(&circuit, &RouterConfig::stitch_aware()),
+                detailed_expansions(&circuit, &RouterConfig::baseline()),
+            )
+        })
+        .collect();
+    let table: String = actual
+        .iter()
+        .map(|(name, aware, base)| format!("    (\"{name}\", {aware}, {base}),\n"))
+        .collect();
+    assert!(
+        actual == SUITE_DETAILED_EXPANSIONS,
+        "detailed search work drifted; the current table is:\n{table}"
     );
 }
 
@@ -243,9 +316,9 @@ fn delta_chain_is_pinned() {
     assert_eq!(
         hashes,
         [
-            0x47a1_b2f8_5da4_0b8a,
-            0xa7a6_8e12_fb79_a208,
-            0x6d4e_9caa_693e_0613
+            0x38af_7352_439d_adac,
+            0x4248_0073_ea7b_eb4c,
+            0x8f25_32dc_ac73_fd48
         ],
         "delta chain output drifted: {shown:?}"
     );

@@ -75,7 +75,8 @@ fn fingerprint(outcome: &RoutingOutcome) -> u64 {
 
 /// Differential sweep over the whole benchmark suite: fingerprints at
 /// 2 and 4 shards must equal the 1-shard run, and every merged outcome
-/// must pass the strict audit (zero errors *and* zero warnings).
+/// must pass the strict audit (zero errors *and* zero warnings) and
+/// report the run's wall time.
 #[test]
 fn full_suite_is_shard_count_invariant() {
     for spec in mebl_netlist::full_suite() {
@@ -86,6 +87,11 @@ fn full_suite_is_shard_count_invariant() {
             let run = route_sharded(&circuit, &ShardOptions::new(shards))
                 .unwrap_or_else(|e| panic!("{}: shards={shards}: {e}", spec.name));
             assert!(run.jobs >= 1, "{}", spec.name);
+            assert!(
+                !run.outcome.report.elapsed.is_zero(),
+                "{}: zero elapsed time at {shards} shards",
+                spec.name
+            );
 
             let audit = audit_outcome(&circuit, &config, &run.outcome);
             assert_eq!(

@@ -116,18 +116,6 @@ impl ConflictGraph {
     pub fn is_empty(&self) -> bool {
         self.intervals.is_empty()
     }
-
-    /// Maximum segment density over the panel (clique number of the
-    /// interval graph).
-    pub fn max_density(&self, rows: u32) -> i64 {
-        let mut density = vec![0i64; rows as usize];
-        for iv in &self.intervals {
-            for r in iv.lo..=iv.hi {
-                density[r as usize] += 1;
-            }
-        }
-        density.into_iter().max().unwrap_or(0)
-    }
 }
 
 #[cfg(test)]
@@ -190,18 +178,6 @@ mod tests {
             g.vertex_weight[0],
             g.vertex_weight[1] + g.vertex_weight[2]
         );
-    }
-
-    #[test]
-    fn max_density_is_clique_number() {
-        let ivs = [
-            SegmentInterval::new(0, 4),
-            SegmentInterval::new(1, 3),
-            SegmentInterval::new(2, 2),
-            SegmentInterval::new(4, 5),
-        ];
-        let g = ConflictGraph::build(&ivs, 6, false);
-        assert_eq!(g.max_density(6), 3);
     }
 
     #[test]

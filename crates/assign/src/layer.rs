@@ -153,70 +153,6 @@ pub fn layer_assign_ours(graph: &ConflictGraph, k: usize) -> Vec<usize> {
     colors
 }
 
-/// Orders colour groups onto physical layers to minimise vias: groups
-/// sharing many nets go to *closer* layers (the assignment method of \[4\]
-/// the paper adopts after k-coloring, §III-B).
-///
-/// `net_of[v]` is the net of segment `v`; `colors[v]` its colour. Returns
-/// `perm` with `perm[color] = layer rank`, chosen (by exhaustive
-/// permutation — k is small) to minimise Σ over same-net group pairs of
-/// their layer distance.
-///
-/// # Panics
-///
-/// Panics if `k > 8` (factorial search) or the slices differ in length.
-pub fn order_groups_for_vias(colors: &[usize], net_of: &[usize], k: usize) -> Vec<usize> {
-    assert!(k <= 8, "exhaustive permutation only practical for small k");
-    assert_eq!(colors.len(), net_of.len());
-    if k <= 1 {
-        return vec![0; k.max(1)][..k].to_vec();
-    }
-    // share[a][b] = number of nets with segments in both groups a and b.
-    let mut nets_of_group: Vec<std::collections::BTreeSet<usize>> =
-        vec![std::collections::BTreeSet::new(); k];
-    for (v, &c) in colors.iter().enumerate() {
-        nets_of_group[c].insert(net_of[v]);
-    }
-    let mut share = vec![vec![0i64; k]; k];
-    for a in 0..k {
-        for b in (a + 1)..k {
-            let s = nets_of_group[a].intersection(&nets_of_group[b]).count() as i64;
-            share[a][b] = s;
-            share[b][a] = s;
-        }
-    }
-    // Exhaustive search over permutations (Heap's algorithm via simple
-    // recursion) for minimum Σ share * |rank_a - rank_b|.
-    let mut perm: Vec<usize> = (0..k).collect();
-    let mut best_perm = perm.clone();
-    let mut best_cost = i64::MAX;
-    permute(&mut perm, 0, &mut |p| {
-        let mut cost = 0i64;
-        for a in 0..k {
-            for b in (a + 1)..k {
-                cost = cost.saturating_add(share[a][b] * (p[a] as i64 - p[b] as i64).abs());
-            }
-        }
-        if cost < best_cost {
-            best_cost = cost;
-            best_perm = p.to_vec();
-        }
-    });
-    best_perm
-}
-
-fn permute(perm: &mut Vec<usize>, i: usize, visit: &mut impl FnMut(&[usize])) {
-    if i == perm.len() {
-        visit(perm);
-        return;
-    }
-    for j in i..perm.len() {
-        perm.swap(i, j);
-        permute(perm, i + 1, visit);
-        perm.swap(i, j);
-    }
-}
-
 /// Total conflict-edge weight between two vertex sets.
 fn conflict_between(graph: &ConflictGraph, a: &[usize], b: &[usize]) -> i64 {
     graph

@@ -1,7 +1,7 @@
 //! Rip-up, re-route and outcome patching.
 
 use crate::closure::affected_nets;
-use crate::edit::{apply_edits, CircuitEdit, DeltaError, EditPlan};
+use crate::edit::{apply_edits, CircuitEdit, DeltaError};
 use mebl_assign::TrackResult;
 use mebl_geom::RouteGeometry;
 use mebl_global::GlobalRoute;
@@ -17,7 +17,9 @@ pub struct DeltaOutcome {
     /// The edited circuit the patched outcome describes.
     pub circuit: Circuit,
     /// The patched outcome: preserved nets byte-identical to the prior
-    /// run, affected nets freshly routed.
+    /// run, affected nets freshly routed. Its track assignment is empty,
+    /// as in a reloaded outcome: the incremental detailed route does not
+    /// read one.
     pub outcome: RoutingOutcome,
     /// Indices (in the edited circuit) of the nets that were ripped up
     /// and re-routed. Empty for an empty edit list.
@@ -136,10 +138,6 @@ pub fn route_delta_under(
     timings.global = t.elapsed();
 
     let t = Stopwatch::start();
-    let tracks = remap_tracks(&prior.tracks, n, &edit_plan, &is_affected);
-    timings.assignment = t.elapsed();
-
-    let t = Stopwatch::start();
     let mut detailed_config = config.detailed.clone();
     detailed_config.cancel = token.clone();
     let detailed = mebl_detailed::route_incremental(
@@ -160,7 +158,7 @@ pub fn route_delta_under(
         outcome: RoutingOutcome {
             plan,
             global,
-            tracks,
+            tracks: TrackResult::default(),
             detailed,
             report,
             timings,
@@ -169,45 +167,6 @@ pub fn route_delta_under(
         circuit: edit_plan.circuit,
         rerouted,
     })
-}
-
-/// Carries the prior track assignment over to the edited circuit:
-/// segments of surviving, unaffected nets are remapped to their new net
-/// indices; everything belonging to a removed or re-routed net is
-/// dropped. The auditor never reads the track stage (detailed geometry
-/// is the authoritative output), so `bad_ends` is carried over as-is.
-fn remap_tracks(
-    prior: &TrackResult,
-    base_nets: usize,
-    plan: &EditPlan,
-    is_affected: &[bool],
-) -> TrackResult {
-    let mut base_to_new: Vec<Option<usize>> = vec![None; base_nets];
-    for (new, origin) in plan.origin.iter().enumerate() {
-        if let Some(old) = origin {
-            if !is_affected[new] {
-                base_to_new[*old] = Some(new);
-            }
-        }
-    }
-    let mut out = TrackResult {
-        bad_ends: prior.bad_ends,
-        timed_out: prior.timed_out,
-        ..TrackResult::default()
-    };
-    for seg in &prior.segments {
-        if let Some(Some(new)) = base_to_new.get(seg.net) {
-            let mut seg = seg.clone();
-            seg.net = *new;
-            out.segments.push(seg);
-        }
-    }
-    for &old in &prior.failed_nets {
-        if let Some(Some(new)) = base_to_new.get(old) {
-            out.failed_nets.insert(*new);
-        }
-    }
-    out
 }
 
 #[cfg(test)]

@@ -22,11 +22,6 @@ impl Orientation {
             Orientation::Vertical => Orientation::Horizontal,
         }
     }
-
-    /// `true` for [`Orientation::Horizontal`].
-    pub const fn is_horizontal(self) -> bool {
-        matches!(self, Orientation::Horizontal)
-    }
 }
 
 impl std::fmt::Display for Orientation {

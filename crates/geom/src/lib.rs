@@ -46,13 +46,3 @@ pub use wire::{RouteGeometry, Segment, Via};
 
 /// Scalar coordinate type used across the stack (one unit = one pitch).
 pub type Coord = i32;
-
-/// Manhattan distance between two points.
-///
-/// ```
-/// use mebl_geom::{manhattan, Point};
-/// assert_eq!(manhattan(Point::new(0, 0), Point::new(3, 4)), 7);
-/// ```
-pub fn manhattan(a: Point, b: Point) -> u64 {
-    (a.x.abs_diff(b.x) as u64) + (a.y.abs_diff(b.y) as u64)
-}

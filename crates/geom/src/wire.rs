@@ -1,6 +1,6 @@
 //! Routed wire geometry: segments, vias and per-net collections.
 
-use crate::{Coord, GridPoint, Interval, Layer, Orientation, Point};
+use crate::{Coord, GridPoint, Interval, Layer, Point};
 
 /// A straight routed wire piece on a single layer.
 ///
@@ -54,11 +54,6 @@ impl Segment {
         }
     }
 
-    /// Orientation inherited from the layer.
-    pub fn orientation(&self) -> Orientation {
-        self.layer.orientation()
-    }
-
     /// `true` if the segment runs horizontally.
     pub fn is_horizontal(&self) -> bool {
         self.layer.is_horizontal()
@@ -96,24 +91,6 @@ impl Segment {
         } else {
             p.x == self.track && self.span.contains(p.y)
         }
-    }
-
-    /// For a horizontal segment: whether it strictly crosses the vertical
-    /// line `x = line_x` (the line lies strictly inside the span, so the
-    /// wire is genuinely cut into two pieces).
-    ///
-    /// Returns `false` for vertical segments.
-    pub fn crosses_vertical_line(&self, line_x: Coord) -> bool {
-        self.is_horizontal() && self.span.lo() < line_x && line_x < self.span.hi()
-    }
-
-    /// For a vertical segment: whether it rides the vertical line
-    /// `x = line_x` — the MEBL *vertical routing violation*.
-    ///
-    /// Returns `false` for horizontal segments and for degenerate
-    /// (zero-length) segments.
-    pub fn rides_vertical_line(&self, line_x: Coord) -> bool {
-        !self.is_horizontal() && !self.is_empty() && self.track == line_x
     }
 
     /// The x extent occupied by the segment.
@@ -181,12 +158,6 @@ impl Via {
     pub const fn point(&self) -> Point {
         Point::new(self.x, self.y)
     }
-
-    /// Whether the via sits on the vertical line `x = line_x`
-    /// (the MEBL *via violation* position).
-    pub fn on_vertical_line(&self, line_x: Coord) -> bool {
-        self.x == line_x
-    }
 }
 
 /// The routed geometry of one net: wire segments plus vias.
@@ -253,12 +224,6 @@ impl RouteGeometry {
             .iter()
             .any(|v| v.point() == p && (v.lower == layer || v.upper() == layer))
     }
-
-    /// Merges another geometry into this one.
-    pub fn extend(&mut self, other: RouteGeometry) {
-        self.segments.extend(other.segments);
-        self.vias.extend(other.vias);
-    }
 }
 
 impl FromIterator<Segment> for RouteGeometry {
@@ -296,31 +261,9 @@ mod tests {
     }
 
     #[test]
-    fn crossing_is_strict() {
-        let s = Segment::horizontal(Layer::new(0), 0, 2, 8);
-        assert!(s.crosses_vertical_line(5));
-        assert!(!s.crosses_vertical_line(2), "touching an endpoint is not a cut");
-        assert!(!s.crosses_vertical_line(8));
-        assert!(!s.crosses_vertical_line(9));
-    }
-
-    #[test]
-    fn riding_detects_vertical_only() {
-        let v = Segment::vertical(Layer::new(1), 5, 0, 3);
-        assert!(v.rides_vertical_line(5));
-        assert!(!v.rides_vertical_line(4));
-        let h = Segment::horizontal(Layer::new(0), 5, 0, 3);
-        assert!(!h.rides_vertical_line(5));
-        let point_v = Segment::vertical(Layer::new(1), 5, 2, 2);
-        assert!(!point_v.rides_vertical_line(5), "degenerate segments do not ride");
-    }
-
-    #[test]
     fn via_layers() {
         let v = Via::new(1, 1, Layer::new(3));
         assert_eq!(v.upper(), Layer::new(4));
-        assert!(v.on_vertical_line(1));
-        assert!(!v.on_vertical_line(2));
     }
 
     #[test]

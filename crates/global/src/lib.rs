@@ -26,7 +26,6 @@ mod multilevel;
 mod router;
 mod tilegraph;
 
-pub use multilevel::{CoarseningLadder, Level};
 pub use router::{
     rebuild_result, route_circuit, route_incremental, GlobalConfig, GlobalMetrics, GlobalResult,
     GlobalRoute, TileRun,

@@ -1,153 +1,55 @@
-//! The explicit bottom-up multilevel coarsening scheme (paper §II-B).
+//! The bottom-up multilevel routing order (paper §II-B).
 //!
 //! The two-pass bottom-up framework of \[3\] iteratively groups routing
 //! tiles into larger tiles; a net becomes *local* at the first level whose
 //! tiles contain its whole pin bounding box, and local nets are routed
-//! before the coarsening proceeds. This module makes that structure
-//! explicit: [`CoarseningLadder`] enumerates the levels, assigns every net
-//! its level, and produces the bottom-up routing order together with
-//! per-level statistics that the router and the reports consume.
+//! before the coarsening proceeds. Level 0 is the base tile grid and each
+//! level merges 2×2 tiles, so the router only needs each net's level to
+//! order the nets.
 
 use crate::TileGraph;
-use mebl_netlist::Circuit;
+use mebl_netlist::{Circuit, Net};
 
-/// One coarsening level: tiles of `(1 << level)` base tiles per side.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Level {
-    /// Level index, 0 = the base (finest) tiles.
-    pub index: u32,
-    /// Tile columns at this level.
-    pub cols: u32,
-    /// Tile rows at this level.
-    pub rows: u32,
-    /// Nets that become local at this level.
-    pub local_nets: usize,
+/// Bottom-up routing order: all level-0 (local) nets first, then level 1,
+/// and so on — ties broken by net id.
+pub(crate) fn bottom_up_order(circuit: &Circuit, graph: &TileGraph) -> Vec<usize> {
+    let levels: Vec<u32> = circuit
+        .nets()
+        .iter()
+        .map(|net| net_level(net, graph))
+        .collect();
+    let mut order: Vec<usize> = (0..circuit.net_count()).collect();
+    order.sort_by_key(|&i| (levels[i], i));
+    order
 }
 
-/// The full coarsening ladder of a circuit over a tile graph.
-///
-/// ```
-/// use mebl_geom::Rect;
-/// use mebl_global::{CoarseningLadder, TileGraph};
-/// use mebl_netlist::{BenchmarkSpec, GenerateConfig};
-/// use mebl_stitch::{StitchConfig, StitchPlan};
-///
-/// let c = BenchmarkSpec::by_name("S9234").unwrap()
-///     .generate(&GenerateConfig::quick(1));
-/// let plan = StitchPlan::new(c.outline(), StitchConfig::default());
-/// let graph = TileGraph::new(c.outline(), 15, 3, &plan, true);
-/// let ladder = CoarseningLadder::build(&c, &graph);
-/// assert!(ladder.levels().len() >= 1);
-/// assert_eq!(ladder.order().len(), c.net_count());
-/// // Local nets (level 0) come first in the bottom-up order.
-/// let levels = ladder.net_levels();
-/// let order = ladder.order();
-/// for w in order.windows(2) {
-///     assert!(levels[w[0]] <= levels[w[1]]);
-/// }
-/// ```
-#[derive(Debug, Clone)]
-pub struct CoarseningLadder {
-    levels: Vec<Level>,
-    net_level: Vec<u32>,
-    order: Vec<usize>,
-}
-
-impl CoarseningLadder {
-    /// Builds the ladder: level 0 is the base tile grid; each level merges
-    /// 2×2 tiles until a single tile remains.
-    pub fn build(circuit: &Circuit, graph: &TileGraph) -> Self {
-        // A net's level: smallest k such that its bbox fits inside one
-        // (2^k x 2^k)-base-tile super tile (aligned).
-        let net_level: Vec<u32> = circuit
-            .nets()
-            .iter()
-            .map(|net| {
-                let bb = net.bounding_box();
-                let a = graph.tile_of(mebl_geom::Point::new(bb.x0(), bb.y0()));
-                let b = graph.tile_of(mebl_geom::Point::new(bb.x1(), bb.y1()));
-                let (ac, ar) = graph.tile_coords(a);
-                let (bc, br) = graph.tile_coords(b);
-                let mut k = 0u32;
-                while (ac >> k) != (bc >> k) || (ar >> k) != (br >> k) {
-                    k += 1;
-                }
-                k
-            })
-            .collect();
-
-        let max_level = {
-            let mut k = 0u32;
-            while (graph.cols() >> k) > 1 || (graph.rows() >> k) > 1 {
-                k += 1;
-            }
-            k
-        };
-
-        let levels: Vec<Level> = (0..=max_level)
-            .map(|index| Level {
-                index,
-                cols: (graph.cols() >> index).max(1),
-                rows: (graph.rows() >> index).max(1),
-                local_nets: net_level.iter().filter(|&&l| l == index).count(),
-            })
-            .collect();
-
-        let mut order: Vec<usize> = (0..circuit.net_count()).collect();
-        order.sort_by_key(|&i| (net_level[i], i));
-
-        Self {
-            levels,
-            net_level,
-            order,
-        }
+/// The level at which `net` becomes local: the smallest k such that its
+/// bounding box fits inside one aligned (2^k × 2^k)-base-tile super tile.
+fn net_level(net: &Net, graph: &TileGraph) -> u32 {
+    let bb = net.bounding_box();
+    let a = graph.tile_of(mebl_geom::Point::new(bb.x0(), bb.y0()));
+    let b = graph.tile_of(mebl_geom::Point::new(bb.x1(), bb.y1()));
+    let (ac, ar) = graph.tile_coords(a);
+    let (bc, br) = graph.tile_coords(b);
+    let mut k = 0u32;
+    while (ac >> k) != (bc >> k) || (ar >> k) != (br >> k) {
+        k += 1;
     }
-
-    /// The coarsening levels, finest first.
-    pub fn levels(&self) -> &[Level] {
-        &self.levels
-    }
-
-    /// The level at which each net becomes local.
-    pub fn net_levels(&self) -> &[u32] {
-        &self.net_level
-    }
-
-    /// Bottom-up routing order: all level-0 (local) nets first, then
-    /// level 1, and so on — ties broken by net id.
-    pub fn order(&self) -> &[usize] {
-        &self.order
-    }
-
-    /// Nets becoming local at `level`, in id order.
-    pub fn nets_at_level(&self, level: u32) -> impl Iterator<Item = usize> + '_ {
-        self.order
-            .iter()
-            .copied()
-            .filter(move |&i| self.net_level[i] == level)
-    }
-
-    /// Fraction of nets that are local at the base level — a locality
-    /// measure of the placement (high for realistic designs).
-    pub fn base_locality(&self) -> f64 {
-        if self.net_level.is_empty() {
-            return 1.0;
-        }
-        self.net_level.iter().filter(|&&l| l == 0).count() as f64 / self.net_level.len() as f64
-    }
+    k
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use mebl_geom::{Layer, Point, Rect};
-    use mebl_netlist::{Net, Pin};
+    use mebl_netlist::Pin;
     use mebl_stitch::{StitchConfig, StitchPlan};
 
     fn pin(x: i32, y: i32) -> Pin {
         Pin::new(Point::new(x, y), Layer::new(0))
     }
 
+    /// A 120×120 outline in 15-pitch tiles: 8×8 base tiles, levels 0..=3.
     fn setup(nets: Vec<Net>) -> (Circuit, TileGraph) {
         let outline = Rect::new(0, 0, 119, 119);
         let plan = StitchPlan::new(outline, StitchConfig::default());
@@ -159,27 +61,13 @@ mod tests {
     #[test]
     fn local_net_is_level_zero() {
         let (c, g) = setup(vec![Net::new("a", vec![pin(1, 1), pin(5, 9)])]);
-        let ladder = CoarseningLadder::build(&c, &g);
-        assert_eq!(ladder.net_levels(), &[0]);
-        assert_eq!(ladder.base_locality(), 1.0);
+        assert_eq!(net_level(&c.nets()[0], &g), 0);
     }
 
     #[test]
     fn chip_spanning_net_is_top_level() {
         let (c, g) = setup(vec![Net::new("a", vec![pin(0, 0), pin(119, 119)])]);
-        let ladder = CoarseningLadder::build(&c, &g);
-        let top = ladder.levels().last().unwrap().index;
-        assert_eq!(ladder.net_levels()[0], top);
-    }
-
-    #[test]
-    fn ladder_shrinks_to_single_tile() {
-        let (c, g) = setup(vec![Net::new("a", vec![pin(0, 0), pin(5, 5)])]);
-        let ladder = CoarseningLadder::build(&c, &g);
-        let last = ladder.levels().last().unwrap();
-        assert_eq!((last.cols, last.rows), (1, 1));
-        // 8x8 base tiles -> levels 0..=3.
-        assert_eq!(ladder.levels().len(), 4);
+        assert_eq!(net_level(&c.nets()[0], &g), 3);
     }
 
     #[test]
@@ -189,26 +77,8 @@ mod tests {
             Net::new("local", vec![pin(2, 2), pin(6, 6)]),
             Net::new("mid", vec![pin(2, 2), pin(40, 40)]),
         ]);
-        let ladder = CoarseningLadder::build(&c, &g);
-        let order = ladder.order();
-        let levels = ladder.net_levels();
-        assert_eq!(order[0], 1, "local net first");
-        for w in order.windows(2) {
-            assert!(levels[w[0]] <= levels[w[1]]);
-        }
-    }
-
-    #[test]
-    fn level_counts_sum_to_net_count() {
-        let (c, g) = setup(vec![
-            Net::new("a", vec![pin(0, 0), pin(119, 119)]),
-            Net::new("b", vec![pin(2, 2), pin(6, 6)]),
-            Net::new("c", vec![pin(50, 50), pin(80, 90)]),
-        ]);
-        let ladder = CoarseningLadder::build(&c, &g);
-        let total: usize = ladder.levels().iter().map(|l| l.local_nets).sum();
-        assert_eq!(total, 3);
-        assert_eq!(ladder.nets_at_level(0).count(), ladder.levels()[0].local_nets);
+        // Levels 3, 0 and 2: the local net first, the chip-spanning last.
+        assert_eq!(bottom_up_order(&c, &g), [1, 2, 0]);
     }
 
     #[test]
@@ -216,7 +86,6 @@ mod tests {
         // Pins in adjacent tiles with unaligned boundary: (14,0) is tile 0,
         // (16,0) is tile 1; they merge at level 1.
         let (c, g) = setup(vec![Net::new("a", vec![pin(14, 1), pin(16, 1)])]);
-        let ladder = CoarseningLadder::build(&c, &g);
-        assert_eq!(ladder.net_levels()[0], 1);
+        assert_eq!(net_level(&c.nets()[0], &g), 1);
     }
 }

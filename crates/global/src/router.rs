@@ -279,9 +279,8 @@ pub fn route_incremental(
 
     // Bottom-up multilevel ordering: route the nets that are local at the
     // finest coarsening level first, then coarser levels — the two-pass
-    // bottom-up framework of [3] (see `CoarseningLadder`).
-    let ladder = crate::CoarseningLadder::build(circuit, &graph);
-    let order: Vec<usize> = ladder.order().to_vec();
+    // bottom-up framework of [3].
+    let order = crate::multilevel::bottom_up_order(circuit, &graph);
 
     let targets: Vec<usize> = order
         .iter()

@@ -49,11 +49,6 @@ impl MinCostFlow {
         }
     }
 
-    /// Number of nodes.
-    pub fn node_count(&self) -> usize {
-        self.adj.len()
-    }
-
     /// Adds a directed edge `from -> to` and its residual reverse edge.
     ///
     /// # Panics

@@ -7,8 +7,8 @@
 /// let mut uf = UnionFind::new(4);
 /// assert!(uf.union(0, 1));
 /// assert!(!uf.union(1, 0), "already joined");
-/// assert!(uf.connected(0, 1));
-/// assert!(!uf.connected(0, 2));
+/// assert_eq!(uf.find(0), uf.find(1));
+/// assert_ne!(uf.find(0), uf.find(2));
 /// assert_eq!(uf.component_count(), 3);
 /// ```
 #[derive(Debug, Clone)]
@@ -28,21 +28,11 @@ impl UnionFind {
         }
     }
 
-    /// Number of elements.
-    pub fn len(&self) -> usize {
-        self.parent.len()
-    }
-
-    /// `true` if the structure tracks no elements.
-    pub fn is_empty(&self) -> bool {
-        self.parent.is_empty()
-    }
-
     /// Representative of `x`'s set.
     ///
     /// # Panics
     ///
-    /// Panics if `x >= len()`.
+    /// Panics if `x` is not below the `n` the structure was created with.
     pub fn find(&mut self, x: usize) -> usize {
         let mut root = x;
         while self.parent[root] != root {
@@ -77,11 +67,6 @@ impl UnionFind {
         true
     }
 
-    /// Whether `a` and `b` are in the same set.
-    pub fn connected(&mut self, a: usize, b: usize) -> bool {
-        self.find(a) == self.find(b)
-    }
-
     /// Number of disjoint sets remaining.
     pub fn component_count(&self) -> usize {
         self.components
@@ -110,16 +95,15 @@ mod tests {
         let mut uf = UnionFind::new(4);
         uf.union(0, 1);
         uf.union(2, 3);
-        assert!(uf.connected(0, 1));
-        assert!(uf.connected(2, 3));
-        assert!(!uf.connected(1, 2));
+        assert_eq!(uf.find(0), uf.find(1));
+        assert_eq!(uf.find(2), uf.find(3));
+        assert_ne!(uf.find(1), uf.find(2));
         assert_eq!(uf.component_count(), 2);
     }
 
     #[test]
     fn empty_is_empty() {
         let uf = UnionFind::new(0);
-        assert!(uf.is_empty());
         assert_eq!(uf.component_count(), 0);
     }
 }

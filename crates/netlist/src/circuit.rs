@@ -94,7 +94,6 @@ impl Net {
 /// ]);
 /// let c = Circuit::new("demo", Rect::new(0, 0, 9, 9), 3, vec![net]);
 /// assert_eq!(c.pin_count(), 2);
-/// assert_eq!(c.total_hpwl(), 10);
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Circuit {
@@ -197,15 +196,6 @@ impl Circuit {
         &self.blockages
     }
 
-    /// The net with the given id.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the id is out of range.
-    pub fn net(&self, id: NetId) -> &Net {
-        &self.nets[id.0 as usize]
-    }
-
     /// Iterates `(id, net)` pairs.
     pub fn iter_nets(&self) -> impl Iterator<Item = (NetId, &Net)> {
         self.nets
@@ -222,11 +212,6 @@ impl Circuit {
     /// Total number of pins over all nets.
     pub fn pin_count(&self) -> usize {
         self.nets.iter().map(Net::degree).sum()
-    }
-
-    /// Sum of per-net half-perimeter wirelengths (a routing demand proxy).
-    pub fn total_hpwl(&self) -> u64 {
-        self.nets.iter().map(Net::hpwl).sum()
     }
 
     /// Pre-flight validation: structural checks a router should run
@@ -515,7 +500,7 @@ mod tests {
         let c = Circuit::new("c", Rect::new(0, 0, 9, 9), 3, nets);
         assert_eq!(c.net_count(), 2);
         assert_eq!(c.pin_count(), 5);
-        assert_eq!(c.net(NetId(1)).degree(), 3);
+        assert_eq!(c.nets()[1].degree(), 3);
         let ids: Vec<NetId> = c.iter_nets().map(|(id, _)| id).collect();
         assert_eq!(ids, vec![NetId(0), NetId(1)]);
     }

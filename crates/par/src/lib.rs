@@ -5,8 +5,8 @@
 //! every result **in input order**. The reduction order — and therefore
 //! the output — is a pure function of the input, never of worker count
 //! or OS scheduling. A route itself runs on one thread; the pool fans
-//! out independent jobs, such as shard panels and raster stripes, so
-//! their merged output is the same at every width (see `DESIGN.md` §9).
+//! out independent jobs, such as shard panels, so their merged output is
+//! the same at every width (see `DESIGN.md` §9).
 //!
 //! Design constraints, enforced by `xtask lint`:
 //! - zero dependencies; scoped `std` threads only, no detached spawns;
@@ -34,9 +34,10 @@ const CHUNKS_PER_WORKER: usize = 4;
 /// A fixed-width scoped thread pool.
 ///
 /// `Pool` is plain configuration data (`Copy`, `Eq`): it owns no OS
-/// threads. Each combinator call spawns scoped workers that terminate
-/// before the call returns, so borrowing the surrounding stage state
-/// (`&Circuit`, `&TileGraph`, …) needs no `Arc` and leaks nothing.
+/// threads. Each [`Pool::par_map_indexed`] call spawns scoped workers
+/// that terminate before the call returns, so borrowing the surrounding
+/// stage state (`&Circuit`, `&TileGraph`, …) needs no `Arc` and leaks
+/// nothing.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Pool {
     workers: usize,
@@ -57,16 +58,11 @@ impl Pool {
         }
     }
 
-    /// Single-worker pool: combinators run inline on the caller thread.
+    /// Single-worker pool: [`Pool::par_map_indexed`] runs inline on the
+    /// caller thread.
     #[must_use]
     pub fn serial() -> Self {
         Self { workers: 1 }
-    }
-
-    /// Whether combinators run inline without spawning threads.
-    #[must_use]
-    pub fn is_serial(&self) -> bool {
-        self.workers == 1
     }
 
     /// Maps `f` over `items`, returning results in input order.
@@ -134,23 +130,6 @@ impl Pool {
             ordered.extend(part);
         }
         ordered
-    }
-
-    /// Maps `f` over fixed-size chunks of `items` (the last chunk may
-    /// be shorter), returning per-chunk results in input order.
-    ///
-    /// The chunk size is caller-fixed, independent of worker count, so
-    /// chunk boundaries — which *are* visible to `f` — are themselves
-    /// deterministic. A `chunk_size` of 0 is treated as 1.
-    pub fn par_chunks<T, R, F>(&self, items: &[T], chunk_size: usize, f: F) -> Vec<R>
-    where
-        T: Sync,
-        R: Send,
-        F: Fn(usize, &[T]) -> R + Sync,
-    {
-        let chunk_size = chunk_size.max(1);
-        let chunks: Vec<&[T]> = items.chunks(chunk_size).collect();
-        self.par_map_indexed(&chunks, |i, part| f(i, part))
     }
 }
 
@@ -235,8 +214,8 @@ mod tests {
 
     #[test]
     fn clamps_to_at_least_one_worker() {
-        assert!(Pool::new(0).is_serial());
-        assert!(Pool::default().is_serial());
+        assert_eq!(Pool::new(0), Pool::serial());
+        assert_eq!(Pool::default(), Pool::serial());
     }
 
     #[test]
@@ -263,26 +242,6 @@ mod tests {
         let empty: Vec<u32> = Vec::new();
         assert!(Pool::new(8).par_map_indexed(&empty, |_, &x| x).is_empty());
         assert_eq!(Pool::new(8).par_map_indexed(&[7u32], |_, &x| x + 1), [8]);
-    }
-
-    #[test]
-    fn chunks_are_fixed_size_and_ordered() {
-        let items: Vec<u32> = (0..10).collect();
-        for workers in [1, 3, 8] {
-            let got = Pool::new(workers).par_chunks(&items, 4, |i, part| (i, part.to_vec()));
-            assert_eq!(
-                got,
-                [
-                    (0, vec![0, 1, 2, 3]),
-                    (1, vec![4, 5, 6, 7]),
-                    (2, vec![8, 9]),
-                ],
-                "workers = {workers}"
-            );
-        }
-        // Chunk size 0 is treated as 1 rather than dividing by zero.
-        let got = Pool::new(2).par_chunks(&[1u32, 2], 0, |_, part| part.len());
-        assert_eq!(got, [1, 1]);
     }
 
     #[test]

@@ -34,14 +34,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod clip;
-mod throughput;
-
-pub use clip::{raster_clip, score_single_wire, ClipRaster, WireShape};
-pub use throughput::BeamArray;
-
-use mebl_par::Pool;
-
 /// An axis-aligned rectangle in continuous pixel coordinates.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FRect {
@@ -64,11 +56,6 @@ impl FRect {
             x1: x0.max(x1),
             y1: y0.max(y1),
         }
-    }
-
-    /// Area of the rectangle.
-    pub fn area(&self) -> f64 {
-        (self.x1 - self.x0) * (self.y1 - self.y0)
     }
 
     /// Area of overlap with the unit pixel at `(px, py)`.
@@ -131,37 +118,31 @@ impl GrayMap {
     /// Dithers to black/white with Floyd–Steinberg error diffusion in
     /// raster order — the paper's Fig. 3 data-preparation step (error
     /// flows to the right and lower grids).
-    pub fn dither(&self) -> BitMap {
-        self.dither_with(DitherKernel::FloydSteinberg, false)
-    }
-
-    /// Dithers with a selectable diffusion kernel and optional serpentine
-    /// scanning (alternating row direction, which breaks up the diagonal
-    /// worm artefacts of unidirectional scans).
     ///
-    /// Pixels are processed row by row; each pixel's quantisation error is
-    /// pushed to its unprocessed neighbours with the kernel's weights.
-    pub fn dither_with(&self, kernel: DitherKernel, serpentine: bool) -> BitMap {
+    /// Pixels are processed row by row, left to right; each pixel's
+    /// quantisation error is pushed to its unprocessed neighbours with
+    /// the Floyd–Steinberg weights, which sum to 1 so dose is conserved
+    /// away from the boundary.
+    pub fn dither(&self) -> BitMap {
+        // (dx, dy, weight) relative to the current pixel.
+        const TAPS: [(i64, i64, f64); 4] = [
+            (1, 0, 7.0 / 16.0),
+            (-1, 1, 3.0 / 16.0),
+            (0, 1, 5.0 / 16.0),
+            (1, 1, 1.0 / 16.0),
+        ];
         let mut acc = self.data.clone();
         let mut bits = vec![false; self.data.len()];
         let w = self.width as i64;
         let h = self.height as i64;
-        let taps = kernel.taps();
         for y in 0..h {
-            let reversed = serpentine && y % 2 == 1;
-            let xs: Box<dyn Iterator<Item = i64>> = if reversed {
-                Box::new((0..w).rev())
-            } else {
-                Box::new(0..w)
-            };
-            for x in xs {
+            for x in 0..w {
                 let idx = (y * w + x) as usize;
                 let old = acc[idx];
                 let on = old >= 0.5;
                 bits[idx] = on;
                 let err = old - if on { 1.0 } else { 0.0 };
-                for &(dx, dy, weight) in taps {
-                    let dx = if reversed { -dx } else { dx };
+                for (dx, dy, weight) in TAPS {
                     let (nx, ny) = (x + dx, y + dy);
                     if (0..w).contains(&nx) && (0..h).contains(&ny) {
                         acc[(ny * w + nx) as usize] += err * weight;
@@ -173,65 +154,6 @@ impl GrayMap {
             width: self.width,
             height: self.height,
             data: bits,
-        }
-    }
-}
-
-/// Error-diffusion kernel used by [`GrayMap::dither_with`].
-///
-/// Taps are `(dx, dy, weight)` relative to the current pixel, with `dy`
-/// pointing at rows yet to be processed; weights of each kernel sum to 1
-/// so dose is conserved away from the boundary.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum DitherKernel {
-    /// Floyd–Steinberg (4 taps, /16) — the classic kernel the paper's
-    /// Fig. 3 sketch corresponds to.
-    #[default]
-    FloydSteinberg,
-    /// Jarvis–Judice–Ninke (12 taps, /48): smoother, wider error spread.
-    JarvisJudiceNinke,
-    /// Stucki (12 taps, /42): sharper variant of JJN.
-    Stucki,
-}
-
-impl DitherKernel {
-    /// The kernel's diffusion taps.
-    pub fn taps(self) -> &'static [(i64, i64, f64)] {
-        match self {
-            DitherKernel::FloydSteinberg => &[
-                (1, 0, 7.0 / 16.0),
-                (-1, 1, 3.0 / 16.0),
-                (0, 1, 5.0 / 16.0),
-                (1, 1, 1.0 / 16.0),
-            ],
-            DitherKernel::JarvisJudiceNinke => &[
-                (1, 0, 7.0 / 48.0),
-                (2, 0, 5.0 / 48.0),
-                (-2, 1, 3.0 / 48.0),
-                (-1, 1, 5.0 / 48.0),
-                (0, 1, 7.0 / 48.0),
-                (1, 1, 5.0 / 48.0),
-                (2, 1, 3.0 / 48.0),
-                (-2, 2, 1.0 / 48.0),
-                (-1, 2, 3.0 / 48.0),
-                (0, 2, 5.0 / 48.0),
-                (1, 2, 3.0 / 48.0),
-                (2, 2, 1.0 / 48.0),
-            ],
-            DitherKernel::Stucki => &[
-                (1, 0, 8.0 / 42.0),
-                (2, 0, 4.0 / 42.0),
-                (-2, 1, 2.0 / 42.0),
-                (-1, 1, 4.0 / 42.0),
-                (0, 1, 8.0 / 42.0),
-                (1, 1, 4.0 / 42.0),
-                (2, 1, 2.0 / 42.0),
-                (-2, 2, 1.0 / 42.0),
-                (-1, 2, 2.0 / 42.0),
-                (0, 2, 4.0 / 42.0),
-                (1, 2, 2.0 / 42.0),
-                (2, 2, 1.0 / 42.0),
-            ],
         }
     }
 }
@@ -264,64 +186,28 @@ impl BitMap {
         assert!(x < self.width && y < self.height, "pixel out of bounds");
         self.data[y * self.width + x]
     }
-
-    /// Number of lit pixels.
-    pub fn on_count(&self) -> usize {
-        self.data.iter().filter(|&&b| b).count()
-    }
 }
 
 /// Renders rectangles into a grey map of the given pixel dimensions.
 ///
 /// Intensity of each pixel is its total coverage by the (assumed
-/// non-overlapping) rectangles, clamped to 1. Serial convenience
-/// wrapper over [`render_with`].
+/// non-overlapping) rectangles, accumulated in input order and clamped
+/// to 1 after each rectangle.
 pub fn render(rects: &[FRect], width: usize, height: usize) -> GrayMap {
-    render_with(&Pool::serial(), rects, width, height)
-}
-
-/// Rows per parallel rendering stripe. Fixed (never derived from the
-/// worker count) so stripe boundaries are deterministic; rows are
-/// independent, so the result is bit-identical to [`render`] for every
-/// pool width anyway.
-const STRIPE_ROWS: usize = 64;
-
-/// [`render`] with row stripes fanned out over `pool`.
-///
-/// Each pixel's intensity accumulates rectangle coverage in input
-/// order with the same per-add clamp as the serial path, so the output
-/// is bit-identical for every worker count. Dithering stays serial:
-/// error diffusion is order-dependent by definition.
-pub fn render_with(pool: &Pool, rects: &[FRect], width: usize, height: usize) -> GrayMap {
-    let rows: Vec<usize> = (0..height).collect();
-    let stripes: Vec<Vec<f64>> = pool.par_chunks(&rows, STRIPE_ROWS, |_, stripe| {
-        let mut map = GrayMap::new(width, stripe.len());
-        let base = stripe.first().copied().unwrap_or(0);
-        for r in rects {
-            let x_lo = (r.x0.floor().max(0.0)) as usize;
-            let y_lo = (r.y0.floor().max(0.0)) as usize;
-            let x_hi = (r.x1.ceil().min(width as f64)) as usize;
-            let y_hi = (r.y1.ceil().min(height as f64)) as usize;
-            let s_lo = y_lo.clamp(base, base + stripe.len());
-            let s_hi = y_hi.clamp(base, base + stripe.len());
-            for y in s_lo..s_hi {
-                for x in x_lo..x_hi {
-                    let v = map.get(x, y - base) + r.pixel_coverage(x, y);
-                    map.set(x, y - base, v);
-                }
+    let mut map = GrayMap::new(width, height);
+    for r in rects {
+        let x_lo = (r.x0.floor().max(0.0)) as usize;
+        let y_lo = (r.y0.floor().max(0.0)) as usize;
+        let x_hi = (r.x1.ceil().min(width as f64)) as usize;
+        let y_hi = (r.y1.ceil().min(height as f64)) as usize;
+        for y in y_lo..y_hi {
+            for x in x_lo..x_hi {
+                let v = map.get(x, y) + r.pixel_coverage(x, y);
+                map.set(x, y, v);
             }
         }
-        map.data
-    });
-    let mut data = Vec::with_capacity(width * height);
-    for stripe in stripes {
-        data.extend(stripe);
     }
-    GrayMap {
-        width,
-        height,
-        data,
-    }
+    map
 }
 
 /// Fraction of *feature* pixels that the dithered bitmap exposes wrongly.
@@ -368,6 +254,11 @@ mod tests {
     use mebl_testkit::prop::{f64s, vecs};
     use mebl_testkit::{prop_assert, prop_check};
 
+    /// Number of lit pixels.
+    fn lit(b: &BitMap) -> usize {
+        b.data.iter().filter(|&&on| on).count()
+    }
+
     #[test]
     fn full_coverage_renders_to_one() {
         let g = render(&[FRect::new(0.0, 0.0, 4.0, 4.0)], 4, 4);
@@ -388,13 +279,13 @@ mod tests {
     fn dither_full_intensity_is_all_on() {
         let g = render(&[FRect::new(0.0, 0.0, 5.0, 5.0)], 5, 5);
         let b = g.dither();
-        assert_eq!(b.on_count(), 25);
+        assert_eq!(lit(&b), 25);
     }
 
     #[test]
     fn dither_zero_intensity_is_all_off() {
         let g = GrayMap::new(5, 5);
-        assert_eq!(g.dither().on_count(), 0);
+        assert_eq!(lit(&g.dither()), 0);
     }
 
     #[test]
@@ -406,7 +297,7 @@ mod tests {
                 g.set(x, y, 0.5);
             }
         }
-        let on = g.dither().on_count();
+        let on = lit(&g.dither());
         assert!((40..=60).contains(&on), "on = {on}");
     }
 
@@ -427,73 +318,19 @@ mod tests {
     }
 
     #[test]
-    fn all_kernels_conserve_dose_on_uniform_field() {
-        let mut g = GrayMap::new(12, 12);
-        for y in 0..12 {
-            for x in 0..12 {
-                g.set(x, y, 0.5);
-            }
-        }
-        for kernel in [
-            DitherKernel::FloydSteinberg,
-            DitherKernel::JarvisJudiceNinke,
-            DitherKernel::Stucki,
-        ] {
-            for serpentine in [false, true] {
-                let on = g.dither_with(kernel, serpentine).on_count();
-                assert!(
-                    (55..=90).contains(&on),
-                    "{kernel:?} serp={serpentine}: {on}/144 on"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn kernel_weights_sum_to_one() {
-        for kernel in [
-            DitherKernel::FloydSteinberg,
-            DitherKernel::JarvisJudiceNinke,
-            DitherKernel::Stucki,
-        ] {
-            let sum: f64 = kernel.taps().iter().map(|&(_, _, w)| w).sum();
-            assert!((sum - 1.0).abs() < 1e-12, "{kernel:?}: {sum}");
-        }
-    }
-
-    #[test]
-    fn kernel_taps_only_touch_unprocessed_pixels() {
-        for kernel in [
-            DitherKernel::FloydSteinberg,
-            DitherKernel::JarvisJudiceNinke,
-            DitherKernel::Stucki,
-        ] {
-            for &(dx, dy, _) in kernel.taps() {
-                assert!(dy > 0 || (dy == 0 && dx > 0), "{kernel:?}: tap ({dx},{dy})");
-            }
-        }
-    }
-
-    #[test]
-    fn serpentine_differs_from_raster_scan() {
-        let g = render(&[FRect::new(0.0, 0.45, 10.0, 1.45)], 12, 4);
-        let raster = g.dither_with(DitherKernel::FloydSteinberg, false);
-        let serp = g.dither_with(DitherKernel::FloydSteinberg, true);
-        // Different scan orders generally produce different bitmaps on a
-        // misaligned feature (same total dose though).
-        assert!(
-            raster != serp || raster.on_count() == serp.on_count(),
-            "sanity"
-        );
-    }
-
-    #[test]
     fn default_dither_is_floyd_steinberg_raster() {
-        let g = render(&[FRect::new(0.0, 0.3, 7.0, 1.3)], 8, 3);
-        assert_eq!(
-            g.dither(),
-            g.dither_with(DitherKernel::FloydSteinberg, false)
-        );
+        // 2x2 at 0.4, raster order: (0,0) stays off and pushes 7/16 of its
+        // error right, lighting (1,0) at 0.575; what is left leaves (0,1)
+        // at 0.445 and (1,1) at 0.487, both off. A serpentine scan would
+        // also light (0,1); thresholding alone would light nothing.
+        let mut g = GrayMap::new(2, 2);
+        let pixels = [(0, 0), (1, 0), (0, 1), (1, 1)];
+        for (x, y) in pixels {
+            g.set(x, y, 0.4);
+        }
+        let b = g.dither();
+        let on: Vec<bool> = pixels.iter().map(|&(x, y)| b.get(x, y)).collect();
+        assert_eq!(on, [false, true, false, false]);
     }
 
     #[test]
@@ -507,28 +344,6 @@ mod tests {
     #[should_panic(expected = "out of bounds")]
     fn gray_get_bounds_checked() {
         GrayMap::new(2, 2).get(2, 0);
-    }
-
-    #[test]
-    fn parallel_render_is_bit_identical_to_serial() {
-        // Overlapping, misaligned, partially out-of-bounds rectangles over
-        // a map taller than one stripe.
-        let rects: Vec<FRect> = (0..40)
-            .map(|i| {
-                let f = i as f64;
-                FRect::new(
-                    -1.0 + f * 0.7,
-                    -2.0 + f * 3.3,
-                    4.5 + f * 0.9,
-                    5.25 + f * 3.4,
-                )
-            })
-            .collect();
-        let serial = render(&rects, 48, 160);
-        for workers in [1, 2, 4, 8] {
-            let par = render_with(&Pool::new(workers), &rects, 48, 160);
-            assert_eq!(serial, par, "workers = {workers}");
-        }
     }
 
     #[test]
@@ -551,13 +366,13 @@ mod tests {
     fn prop_dither_dose_error_bounded() {
         prop_check!(vecs(f64s(0.0..1.0), 36usize), |vals| {
             // Error diffusion conserves dose up to the error pushed off the
-            // boundary: |on_count - total_gray| <= perimeter-ish bound.
+            // boundary: |lit - total_gray| <= perimeter-ish bound.
             let mut g = GrayMap::new(6, 6);
             for (i, &v) in vals.iter().enumerate() {
                 g.set(i % 6, i / 6, v);
             }
             let total: f64 = (0..36).map(|i| g.get(i % 6, i / 6)).sum();
-            let on = g.dither().on_count() as f64;
+            let on = lit(&g.dither()) as f64;
             prop_assert!((on - total).abs() <= 7.0, "on {on} vs dose {total}");
         });
     }

@@ -70,25 +70,13 @@ impl RouteReport {
     pub fn hard_clean(&self) -> bool {
         self.vertical_violations == 0 && self.via_violations_off_pin == 0
     }
-
-    /// Formats one table row: `Rout.(%)  #VV  #SP  CPU(s)`.
-    #[must_use]
-    pub fn table_row(&self) -> String {
-        format!(
-            "{:6.2} {:6} {:6} {:8.2}",
-            self.routability() * 100.0,
-            self.via_violations,
-            self.short_polygons,
-            self.elapsed.as_secs_f64()
-        )
-    }
 }
 
 impl std::fmt::Display for RouteReport {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
             f,
-            "routed {}/{} ({:.2}%), #VV {}, #SP {}, WL {}, vias {}, {:.2}s",
+            "routed {}/{} ({:.2}%), #VV {}, #SP {}, WL {}, vias {}, {:.2}ms",
             self.routed_nets,
             self.total_nets,
             self.routability() * 100.0,
@@ -96,7 +84,7 @@ impl std::fmt::Display for RouteReport {
             self.short_polygons,
             self.wirelength,
             self.vias,
-            self.elapsed.as_secs_f64()
+            self.elapsed.as_secs_f64() * 1e3
         )
     }
 }
@@ -134,6 +122,15 @@ mod tests {
     fn display_nonempty() {
         let r = RouteReport::default();
         assert!(r.to_string().contains("routed"));
-        assert!(!r.table_row().is_empty());
+    }
+
+    #[test]
+    fn display_prints_elapsed_in_milliseconds() {
+        let r = RouteReport {
+            elapsed: Duration::from_micros(2890),
+            ..RouteReport::default()
+        };
+        let line = r.to_string();
+        assert!(line.ends_with(", 2.89ms"), "{line}");
     }
 }

@@ -14,18 +14,14 @@
 //! not the request, so replaying it for a future identical request
 //! would be wrong; so does a run the shutdown interrupt cut.
 
+use crate::lock;
 use std::collections::BTreeMap;
 use std::sync::Mutex;
 
 /// FNV-1a over a byte stream — the workspace's standard fingerprint
 /// (same constants as `tests/determinism.rs`).
 pub fn fnv1a(bytes: impl IntoIterator<Item = u8>) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
+    fnv1a_extend(0xcbf2_9ce4_8422_2325, bytes)
 }
 
 /// Extends an existing FNV-1a state with more bytes (used to chain the
@@ -39,53 +35,50 @@ pub fn fnv1a_extend(mut h: u64, bytes: impl IntoIterator<Item = u8>) -> u64 {
 }
 
 #[derive(Debug)]
-struct Entry {
-    status: u16,
-    body: Vec<u8>,
-    last_used: u64,
-}
-
-#[derive(Debug, Default)]
-struct Inner {
-    map: BTreeMap<u64, Entry>,
+struct Inner<V> {
+    /// Value and the tick of its last use, per key.
+    map: BTreeMap<u64, (V, u64)>,
     tick: u64,
 }
 
-/// A fixed-capacity, least-recently-used response cache.
+/// A fixed-capacity, least-recently-used map, shared by the response
+/// cache (encoded `(status, body)` pairs) and the prior-outcome cache of
+/// `/route/delta`.
 ///
-/// Eviction scans for the minimum `last_used` stamp — O(capacity) —
-/// which is fine at service cache sizes (tens to a few thousand
-/// entries) and keeps the structure an ordered map with deterministic
-/// iteration.
+/// Eviction scans for the minimum last-use stamp — O(capacity) — which
+/// is fine at service cache sizes (tens to a few thousand entries) and
+/// keeps the structure an ordered map with deterministic iteration.
 #[derive(Debug)]
-pub struct ResultCache {
-    inner: Mutex<Inner>,
+pub(crate) struct Lru<V> {
+    inner: Mutex<Inner<V>>,
     capacity: usize,
 }
 
-impl ResultCache {
-    /// Cache holding at most `capacity` responses. Capacity 0 disables
-    /// caching entirely.
-    pub fn new(capacity: usize) -> Self {
+impl<V: Clone> Lru<V> {
+    /// Map holding at most `capacity` values. Capacity 0 disables it.
+    pub(crate) fn new(capacity: usize) -> Self {
         Self {
-            inner: Mutex::new(Inner::default()),
+            inner: Mutex::new(Inner {
+                map: BTreeMap::new(),
+                tick: 0,
+            }),
             capacity,
         }
     }
 
     /// Looks up `key`, refreshing its recency on a hit.
-    pub fn get(&self, key: u64) -> Option<(u16, Vec<u8>)> {
+    pub(crate) fn get(&self, key: u64) -> Option<V> {
         let mut inner = lock(&self.inner);
         inner.tick += 1;
         let tick = inner.tick;
-        let entry = inner.map.get_mut(&key)?;
-        entry.last_used = tick;
-        Some((entry.status, entry.body.clone()))
+        let (value, last_used) = inner.map.get_mut(&key)?;
+        *last_used = tick;
+        Some(value.clone())
     }
 
-    /// Inserts a response, evicting the least-recently-used entry when
-    /// full. Overwrites an existing entry for the same key.
-    pub fn put(&self, key: u64, status: u16, body: Vec<u8>) {
+    /// Inserts `value`, evicting the least-recently-used entry when full.
+    /// Overwrites an existing entry for the same key.
+    pub(crate) fn put(&self, key: u64, value: V) {
         if self.capacity == 0 {
             return;
         }
@@ -93,39 +86,17 @@ impl ResultCache {
         inner.tick += 1;
         let tick = inner.tick;
         if !inner.map.contains_key(&key) && inner.map.len() >= self.capacity {
-            if let Some((&oldest, _)) = inner
-                .map
-                .iter()
-                .min_by_key(|(_, e)| e.last_used)
-            {
+            if let Some((&oldest, _)) = inner.map.iter().min_by_key(|(_, (_, used))| *used) {
                 inner.map.remove(&oldest);
             }
         }
-        inner.map.insert(
-            key,
-            Entry {
-                status,
-                body,
-                last_used: tick,
-            },
-        );
+        inner.map.insert(key, (value, tick));
     }
 
-    /// Number of cached responses.
-    pub fn len(&self) -> usize {
+    /// Number of stored values.
+    pub(crate) fn len(&self) -> usize {
         lock(&self.inner).map.len()
     }
-
-    /// Whether the cache holds nothing.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
-
-/// Locks a mutex, recovering the data on poisoning: the cache holds only
-/// plain data, so a panicking writer cannot leave it logically torn.
-fn lock<T>(mutex: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
-    mutex.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
 #[cfg(test)]
@@ -143,20 +114,20 @@ mod tests {
 
     #[test]
     fn hit_returns_stored_bytes() {
-        let cache = ResultCache::new(4);
+        let cache = Lru::new(4);
         assert!(cache.get(1).is_none());
-        cache.put(1, 200, b"body".to_vec());
+        cache.put(1, (200, b"body".to_vec()));
         assert_eq!(cache.get(1), Some((200, b"body".to_vec())));
         assert_eq!(cache.len(), 1);
     }
 
     #[test]
     fn evicts_least_recently_used() {
-        let cache = ResultCache::new(2);
-        cache.put(1, 200, b"one".to_vec());
-        cache.put(2, 200, b"two".to_vec());
+        let cache = Lru::new(2);
+        cache.put(1, (200, b"one".to_vec()));
+        cache.put(2, (200, b"two".to_vec()));
         cache.get(1); // refresh 1; 2 becomes the LRU entry
-        cache.put(3, 200, b"three".to_vec());
+        cache.put(3, (200, b"three".to_vec()));
         assert!(cache.get(1).is_some());
         assert!(cache.get(2).is_none());
         assert!(cache.get(3).is_some());
@@ -165,18 +136,18 @@ mod tests {
 
     #[test]
     fn overwrite_does_not_grow() {
-        let cache = ResultCache::new(2);
-        cache.put(1, 200, b"a".to_vec());
-        cache.put(1, 503, b"b".to_vec());
+        let cache = Lru::new(2);
+        cache.put(1, (200, b"a".to_vec()));
+        cache.put(1, (503, b"b".to_vec()));
         assert_eq!(cache.get(1), Some((503, b"b".to_vec())));
         assert_eq!(cache.len(), 1);
     }
 
     #[test]
     fn zero_capacity_disables_caching() {
-        let cache = ResultCache::new(0);
-        cache.put(1, 200, b"a".to_vec());
-        assert!(cache.is_empty());
+        let cache = Lru::new(0);
+        cache.put(1, (200, b"a".to_vec()));
+        assert_eq!(cache.len(), 0);
         assert!(cache.get(1).is_none());
     }
 }

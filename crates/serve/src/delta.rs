@@ -1,5 +1,5 @@
 //! The `/route/delta` wire schema: edit-list parsing, canonical edit
-//! encoding for cache keys, and the prior-outcome cache.
+//! encoding for cache keys, and the prior outcome the server caches.
 //!
 //! A delta job is a base `/route` job plus an `edits` array. The server
 //! resolves the **prior** outcome for the base job (from the in-memory
@@ -13,14 +13,12 @@
 //! silently-dropped field would alias distinct requests onto one entry.
 
 use crate::api::JobRequest;
-use crate::lock;
 use crate::json::Json;
 use mebl_delta::CircuitEdit;
 use mebl_geom::{Layer, Point, Rect};
 use mebl_netlist::{Circuit, Pin};
 use mebl_route::RoutingOutcome;
-use std::collections::BTreeMap;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 /// A parsed `/route/delta` payload: the base routing job plus the edit
 /// list to apply against its outcome.
@@ -221,78 +219,6 @@ pub fn canonical_edits(edits: &[CircuitEdit]) -> String {
 /// circuit and its full outcome, shared across worker threads.
 pub type PriorOutcome = Arc<(Circuit, RoutingOutcome)>;
 
-#[derive(Debug)]
-struct OutcomeEntry {
-    prior: PriorOutcome,
-    last_used: u64,
-}
-
-/// A small LRU of full [`RoutingOutcome`]s keyed by the base `/route`
-/// cache key.
-///
-/// The response cache stores only encoded bodies; a delta job needs the
-/// complete prior solution (routes + geometry) to rip up and patch, so
-/// those are kept separately. Capacity is deliberately small — outcomes
-/// hold per-net geometry for a whole circuit — and 0 disables it.
-#[derive(Debug)]
-pub struct OutcomeCache {
-    inner: Mutex<BTreeMap<u64, OutcomeEntry>>,
-    tick: Mutex<u64>,
-    capacity: usize,
-}
-
-impl OutcomeCache {
-    /// Cache holding at most `capacity` prior outcomes.
-    pub fn new(capacity: usize) -> Self {
-        Self {
-            inner: Mutex::new(BTreeMap::new()),
-            tick: Mutex::new(0),
-            capacity,
-        }
-    }
-
-    fn bump(&self) -> u64 {
-        let mut tick = lock(&self.tick);
-        *tick += 1;
-        *tick
-    }
-
-    /// Looks up the prior outcome for a base job, refreshing recency.
-    pub fn get(&self, key: u64) -> Option<PriorOutcome> {
-        let tick = self.bump();
-        let mut inner = lock(&self.inner);
-        let entry = inner.get_mut(&key)?;
-        entry.last_used = tick;
-        Some(entry.prior.clone())
-    }
-
-    /// Inserts a prior outcome, evicting the least-recently-used entry
-    /// when full.
-    pub fn put(&self, key: u64, prior: PriorOutcome) {
-        if self.capacity == 0 {
-            return;
-        }
-        let tick = self.bump();
-        let mut inner = lock(&self.inner);
-        if !inner.contains_key(&key) && inner.len() >= self.capacity {
-            if let Some((&oldest, _)) = inner.iter().min_by_key(|(_, e)| e.last_used) {
-                inner.remove(&oldest);
-            }
-        }
-        inner.insert(key, OutcomeEntry { prior, last_used: tick });
-    }
-
-    /// Number of cached outcomes.
-    pub fn len(&self) -> usize {
-        lock(&self.inner).len()
-    }
-
-    /// Whether the cache holds nothing.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -368,14 +294,15 @@ mod tests {
 
     #[test]
     fn outcome_cache_evicts_lru() {
+        use crate::cache::Lru;
         use mebl_route::{Router, RouterConfig};
         let circuit = mebl_netlist::BenchmarkSpec::by_name("S5378")
             .unwrap()
             .generate(&mebl_netlist::GenerateConfig::quick(1));
         let outcome = Router::new(RouterConfig::stitch_aware()).route(&circuit);
         let prior: PriorOutcome = Arc::new((circuit, outcome));
-        let cache = OutcomeCache::new(2);
-        assert!(cache.is_empty());
+        let cache = Lru::new(2);
+        assert_eq!(cache.len(), 0);
         cache.put(1, prior.clone());
         cache.put(2, prior.clone());
         cache.get(1); // refresh 1; 2 becomes LRU
@@ -384,7 +311,7 @@ mod tests {
         assert!(cache.get(2).is_none());
         assert!(cache.get(3).is_some());
         assert_eq!(cache.len(), 2);
-        let disabled = OutcomeCache::new(0);
+        let disabled = Lru::new(0);
         disabled.put(1, prior);
         assert!(disabled.get(1).is_none());
     }

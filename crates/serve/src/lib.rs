@@ -40,8 +40,8 @@ use crate::api::{
     audit_response_json, circuit_error_response, error_json, outcome_response_json,
     route_response_json, JobError, JobRequest,
 };
-use crate::cache::{fnv1a_extend, ResultCache};
-use crate::delta::{canonical_edits, DeltaRequest, OutcomeCache, PriorOutcome};
+use crate::cache::{fnv1a_extend, Lru};
+use crate::delta::{canonical_edits, DeltaRequest, PriorOutcome};
 use crate::http::{accept_until, bind_ticking, read_request, ReadError, Request, Response};
 use crate::json::Json;
 use crate::metrics::Metrics;
@@ -262,10 +262,11 @@ impl JobQueue {
 struct Shared {
     queue: JobQueue,
     metrics: Metrics,
-    cache: ResultCache,
+    /// Encoded `(status, body)` responses, keyed by the job's cache key.
+    cache: Lru<(u16, Vec<u8>)>,
     /// Prior outcomes for `/route/delta`, keyed by the base `/route`
     /// cache key.
-    outcomes: OutcomeCache,
+    outcomes: Lru<PriorOutcome>,
     /// Persistent second cache tier, when mounted.
     store: Option<Store>,
     /// Fingerprint stored records are written and verified under.
@@ -354,8 +355,8 @@ impl Server {
             shared: Arc::new(Shared {
                 queue: JobQueue::new(config.queue_depth),
                 metrics: Metrics::default(),
-                cache: ResultCache::new(config.cache_capacity),
-                outcomes: OutcomeCache::new(if config.cache_capacity == 0 {
+                cache: Lru::new(config.cache_capacity),
+                outcomes: Lru::new(if config.cache_capacity == 0 {
                     0
                 } else {
                     OUTCOME_CACHE_CAPACITY
@@ -694,7 +695,7 @@ impl Server {
             Ok(Some(bytes)) => match decode_stored(&bytes) {
                 Some((status, body)) => {
                     m.store_hits.inc();
-                    self.shared.cache.put(key, status, body.clone());
+                    self.shared.cache.put(key, (status, body.clone()));
                     return Some(Response::json(status, body).with_header("x-cache", "disk"));
                 }
                 None => m.store_errors.inc(),
@@ -709,7 +710,7 @@ impl Server {
     fn admit(&self, key: u64, response: &Response) {
         self.shared
             .cache
-            .put(key, response.status, response.body.clone());
+            .put(key, (response.status, response.body.clone()));
         if let Some(store) = &self.shared.store {
             let stored = encode_stored(response.status, &response.body);
             if store.put(key, self.shared.store_fp, &stored).is_err() {

@@ -66,16 +66,6 @@ impl StitchPlan {
         }
     }
 
-    /// A plan with no stitching lines (conventional lithography), for
-    /// baseline comparisons on the same code paths.
-    pub fn without_lines(outline: Rect) -> Self {
-        Self {
-            config: StitchConfig::default(),
-            outline,
-            lines: Vec::new(),
-        }
-    }
-
     /// The configuration used to build the plan.
     pub fn config(&self) -> StitchConfig {
         self.config
@@ -205,7 +195,12 @@ mod tests {
 
     #[test]
     fn empty_plan_has_no_regions() {
-        let p = StitchPlan::without_lines(Rect::new(0, 0, 59, 29));
+        // A period as wide as the outline places no line strictly inside.
+        let config = StitchConfig {
+            period: 59,
+            ..StitchConfig::default()
+        };
+        let p = StitchPlan::new(Rect::new(0, 0, 59, 29), config);
         assert!(p.lines().is_empty());
         assert_eq!(p.nearest_line(10), None);
         assert!(!p.in_unfriendly_region(10));

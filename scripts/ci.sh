@@ -10,6 +10,11 @@ cd "$(dirname "$0")/.."
 echo "=== build (release, offline) ==="
 cargo build --release --offline --workspace
 
+echo "=== Fig. 3/4 reproduction (fig34_raster must print results/fig34.txt) ==="
+# The rasterization output holds no timing, so it repeats byte for byte
+# on any host; it pins render, dither and the defect score.
+target/release/fig34_raster | diff -u results/fig34.txt -
+
 echo "=== perfbench compiles (its own workspace, outside --workspace) ==="
 # The repository benchmark builds against the public APIs by path; a
 # broken signature must fail here, not first in a benchmark run.

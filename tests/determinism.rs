@@ -189,37 +189,38 @@ fn suite_routes_are_pinned() {
     );
 }
 
-/// Detailed-stage work goldens: `(design, stitch-aware, baseline)`
-/// search expansions of the circuits `SUITE_ROUTE_GOLDENS` routes.
-/// Expansions are a pure function of the input and the config, so this
-/// table gates search work on any host: a search that expands more
-/// cells for the same output fails here. A change that is meant to
-/// alter the search regenerates it (the failure message prints the new
-/// table) and says so in CHANGES.md.
-const SUITE_DETAILED_EXPANSIONS: [(&str, u64, u64); 14] = [
-    ("Struct", 10990, 6645),
-    ("Primary1", 11740, 8646),
-    ("Primary2", 8446, 5488),
-    ("S5378", 8063, 30233),
-    ("S9234", 9604, 8028),
-    ("S13207", 10360, 10642),
-    ("S15850", 8215, 6515),
-    ("S38417", 12654, 8750),
-    ("S38584", 6388, 4927),
-    ("DMA", 60998, 54160),
-    ("DSP1", 35008, 24583),
-    ("DSP2", 28432, 12642),
-    ("RISC1", 174023, 22616),
-    ("RISC2", 26045, 13096),
+/// Search-work goldens: `(design, stitch-aware global, stitch-aware
+/// detailed, baseline global, baseline detailed)` expansions of the
+/// circuits `SUITE_ROUTE_GOLDENS` routes. Expansions are a pure function
+/// of the input and the config, so this table gates search work on any
+/// host: a search that expands more tiles or cells for the same output
+/// fails here. A change that is meant to alter a search regenerates it
+/// (the failure message prints the new table) and says so in CHANGES.md.
+const SUITE_STAGE_EXPANSIONS: [(&str, u64, u64, u64, u64); 14] = [
+    ("Struct", 59, 10990, 59, 6645),
+    ("Primary1", 51, 11740, 52, 8646),
+    ("Primary2", 41, 8446, 41, 5488),
+    ("S5378", 34, 8063, 34, 30233),
+    ("S9234", 40, 9604, 40, 8028),
+    ("S13207", 46, 10360, 46, 10642),
+    ("S15850", 36, 8215, 36, 6515),
+    ("S38417", 46, 12654, 46, 8750),
+    ("S38584", 30, 6388, 30, 4927),
+    ("DMA", 94, 60998, 95, 54160),
+    ("DSP1", 88, 35008, 88, 24583),
+    ("DSP2", 66, 28432, 64, 12642),
+    ("RISC1", 73, 174023, 73, 22616),
+    ("RISC2", 58, 26045, 59, 13096),
 ];
 
-/// Detailed-stage expansions of one route of `circuit` under `config`:
-/// the stage calls `Router::route` makes, in its order and with its
-/// configs, with an armed token of its own on the detailed stage.
-fn detailed_expansions(circuit: &Circuit, config: &RouterConfig) -> u64 {
+/// `(global, detailed)` search expansions of one route of `circuit` under
+/// `config`: the stage calls `Router::route` makes, in its order and with
+/// its configs, with an armed token of its own on each counted stage.
+fn stage_expansions(circuit: &Circuit, config: &RouterConfig) -> (u64, u64) {
     let plan = StitchPlan::new(circuit.outline(), config.stitch);
+    let global_counter = CancelToken::armed(None, None);
     let mut global_config = config.global.clone();
-    global_config.cancel = CancelToken::armed(None, None);
+    global_config.cancel = global_counter.clone();
     let global = route_circuit(circuit, &plan, &global_config);
     let mut track_config = config.track.clone();
     track_config.cancel = CancelToken::armed(None, None);
@@ -230,33 +231,39 @@ fn detailed_expansions(circuit: &Circuit, config: &RouterConfig) -> u64 {
         circuit.layer_count(),
         &track_config,
     );
-    let counter = CancelToken::armed(None, None);
+    let detailed_counter = CancelToken::armed(None, None);
     let mut detailed_config = config.detailed.clone();
-    detailed_config.cancel = counter.clone();
+    detailed_config.cancel = detailed_counter.clone();
     route_detailed(circuit, &plan, &global.graph, &tracks, &detailed_config);
-    counter.expansions()
+    (global_counter.expansions(), detailed_counter.expansions())
 }
 
 #[test]
-fn suite_detailed_expansions_are_pinned() {
-    let actual: Vec<(&str, u64, u64)> = full_suite()
+fn suite_stage_expansions_are_pinned() {
+    let actual: Vec<(&str, u64, u64, u64, u64)> = full_suite()
         .iter()
         .map(|spec| {
             let circuit = scaled(spec, 60.0);
+            let (aware_global, aware_detailed) =
+                stage_expansions(&circuit, &RouterConfig::stitch_aware());
+            let (base_global, base_detailed) =
+                stage_expansions(&circuit, &RouterConfig::baseline());
             (
                 spec.name,
-                detailed_expansions(&circuit, &RouterConfig::stitch_aware()),
-                detailed_expansions(&circuit, &RouterConfig::baseline()),
+                aware_global,
+                aware_detailed,
+                base_global,
+                base_detailed,
             )
         })
         .collect();
     let table: String = actual
         .iter()
-        .map(|(name, aware, base)| format!("    (\"{name}\", {aware}, {base}),\n"))
+        .map(|(name, ag, ad, bg, bd)| format!("    (\"{name}\", {ag}, {ad}, {bg}, {bd}),\n"))
         .collect();
     assert!(
-        actual == SUITE_DETAILED_EXPANSIONS,
-        "detailed search work drifted; the current table is:\n{table}"
+        actual == SUITE_STAGE_EXPANSIONS,
+        "search work drifted; the current table is:\n{table}"
     );
 }
 

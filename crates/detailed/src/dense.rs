@@ -19,6 +19,10 @@
 //! cells a [`Rippable`] admits are passable, and paths are ordered by
 //! (foreign cells entered, eq. (10) cost), so the cheapest soft path
 //! names a minimal set of blocking cells.
+//!
+//! A search whose queue runs dry proves only that its window holds no
+//! path. [`DialSolver::unreachable`] floods backward from the targets
+//! over the whole grid to prove that no window holds one.
 
 use crate::DetailedGrid;
 use mebl_control::CancelToken;
@@ -50,6 +54,26 @@ impl Rippable<'_> {
             .is_some_and(|owner| self.nets.get(owner as usize) == Some(&true))
             && !self.pins.contains(&cell)
     }
+}
+
+/// Whether `net`'s search may enter `cell`: a free cell, one of its own,
+/// or one a soft search's licence admits.
+fn enterable(grid: &DetailedGrid, net: u32, soft: Option<&Rippable>, cell: u32) -> bool {
+    grid.passable(cell, net) || soft.is_some_and(|r| r.admits(grid, cell))
+}
+
+/// How a [`DialSolver::find_path`] search ended.
+pub(crate) enum Search {
+    /// A least-cost path: the source cell it grew from, then every cell
+    /// it enters, ending at the target it reached.
+    Found(Vec<u32>),
+    /// No window and no node cap can connect the sources to a target.
+    Unreachable,
+    /// The queue ran dry after this many pops: no target is reachable
+    /// inside the window.
+    Dry(usize),
+    /// The node cap or the cancel token stopped the search.
+    Stopped,
 }
 
 /// Per-step cost ceiling in quantized α units. Costs above this clamp
@@ -220,11 +244,15 @@ impl GridWindow {
 /// `soft_dist`, valid where the cell word is discovered this epoch, and
 /// leaves the word's dist bits zero. The array grows on the first soft
 /// search, so solvers that never run one never allocate it.
+///
+/// The backward flood of [`DialSolver::unreachable`] takes an epoch of
+/// its own and keeps its frontier in `stack`.
 pub(crate) struct DialSolver {
     cells: Vec<u64>,
     soft_dist: Vec<u64>,
     epoch: u32,
     queue: BucketQueue<u64>,
+    stack: Vec<u32>,
 }
 
 /// Cell flag: the cell has a valid distance/direction this epoch.
@@ -268,6 +296,7 @@ impl DialSolver {
             soft_dist: Vec::new(),
             epoch: 0,
             queue: BucketQueue::with_span(span),
+            stack: Vec::new(),
         }
     }
 
@@ -290,10 +319,17 @@ impl DialSolver {
     /// cell of any component in `target_comps`, restricted to the
     /// bounding box of the endpoints plus `margin`.
     ///
-    /// The returned path includes the source cell it grew from and ends
-    /// at the reached target; `None` on exhaustion (window, `node_cap`)
-    /// or cancellation. `sources` must be sorted for deterministic
+    /// The found path includes the source cell it grew from and ends at
+    /// the reached target. `sources` must be sorted for deterministic
     /// tie-breaking.
+    ///
+    /// Two failures are final, [`Search::Unreachable`], whatever the
+    /// window or the cap. The search enters a target like any other
+    /// cell, so if it may enter no target cell it returns before it
+    /// expands anything. And a queue that runs dry after at most
+    /// `margin` pops never reached the window's edge: every cell it
+    /// popped lies fewer than `margin` moves from a source, so every
+    /// planar neighbour lies inside the window or off the grid.
     ///
     /// With `soft`, cells it admits are passable too, and the path
     /// enters the fewest of them, then costs the least.
@@ -310,7 +346,7 @@ impl DialSolver {
         node_cap: usize,
         cancel: &CancelToken,
         soft: Option<&Rippable>,
-    ) -> Option<Vec<u32>> {
+    ) -> Search {
         match soft {
             None => self.search::<false>(
                 grid, field, net, own_pins, sources, target_comps, margin, node_cap, cancel, None,
@@ -337,9 +373,9 @@ impl DialSolver {
         node_cap: usize,
         cancel: &CancelToken,
         soft: Option<&Rippable>,
-    ) -> Option<Vec<u32>> {
-        if sources.is_empty() || target_comps.iter().all(FastSet::is_empty) {
-            return None;
+    ) -> Search {
+        if sources.is_empty() {
+            return Search::Unreachable;
         }
         let w = grid.width();
         let rows = grid.height();
@@ -372,6 +408,7 @@ impl DialSolver {
         let mut boxes: [(u32, u32, u32, u32); MAX_H_BOXES] =
             [(u32::MAX, u32::MAX, 0, 0); MAX_H_BOXES];
         let mut nboxes = 0usize;
+        let mut any_enterable = false;
         for comp in target_comps {
             if comp.is_empty() {
                 continue;
@@ -381,6 +418,7 @@ impl DialSolver {
                 // `begin` bumped the epoch, so every word is stale here
                 // and a plain store marks the target.
                 self.cells[t as usize] = tag | TARGET;
+                any_enterable = any_enterable || enterable(grid, net, soft, t);
                 let (x, y, _) = local(t);
                 let b = &mut boxes[slot];
                 *b = (b.0.min(x), b.1.min(y), b.2.max(x), b.3.max(y));
@@ -392,6 +430,9 @@ impl DialSolver {
                 );
             }
             nboxes = (nboxes + 1).min(MAX_H_BOXES);
+        }
+        if !any_enterable {
+            return Search::Unreachable;
         }
         for &c in sources {
             let (x, y, _) = local(c);
@@ -480,7 +521,7 @@ impl DialSolver {
             }
             self.cells[ui] = m | CLOSED;
             if m & TARGET != 0 {
-                return Some(self.reconstruct(u, w, wh));
+                return Search::Found(self.reconstruct(u, w, wh));
             }
             // Hard distances live in the cell word; soft ones in their
             // own array (see `BLOCKED`).
@@ -491,13 +532,13 @@ impl DialSolver {
             };
             expanded += 1;
             if expanded > node_cap {
-                return None;
+                return Search::Stopped;
             }
             // Charge the run budget and honour cancellation mid-search:
-            // a `None` return rips the net up like any failed
+            // a stopped search rips the net up like any failed
             // connection, so aborting never leaves partial geometry.
             if cancel.charge_expansions(1) {
-                return None;
+                return Search::Stopped;
             }
 
             let lx = x as usize;
@@ -589,7 +630,115 @@ impl DialSolver {
                 self.queue.push(nd.saturating_add(hq), q);
             }
         }
-        None
+        if usize::try_from(margin).is_ok_and(|m| expanded <= m) {
+            Search::Unreachable
+        } else {
+            Search::Dry(expanded)
+        }
+    }
+
+    /// Whether no window and no node cap can connect `sources` to
+    /// `target_comps`: floods backward over the whole grid from the
+    /// target cells `net`'s search may enter, and answers `true` if the
+    /// flood runs dry without touching a source.
+    ///
+    /// The flood follows the search's move rules and passability. Moves
+    /// are symmetric: an x-move is legal in both directions, a via or a
+    /// y-move keeps its column, and the stitch rules read only the
+    /// column and the net's own pin positions. Passability belongs to
+    /// the cell entered. So the flood reaches exactly the cells from
+    /// which a search can reach a target. A source counts when the flood
+    /// touches it, enterable or not: the search starts on its sources
+    /// and never enters them.
+    ///
+    /// Every pop is charged to `cancel` like a search's. The flood gives
+    /// up, answering `false`, after `limit` pops or when `cancel` stops
+    /// it.
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn unreachable(
+        &mut self,
+        grid: &DetailedGrid,
+        field: &CostField,
+        net: u32,
+        own_pins: &FastSet<Point>,
+        sources: &[u32],
+        target_comps: &[FastSet<u32>],
+        soft: Option<&Rippable>,
+        limit: usize,
+        cancel: &CancelToken,
+    ) -> bool {
+        let w = grid.width();
+        let rows = grid.height();
+        let wh = w * rows;
+        let layers = u32::from(grid.layers());
+        let (ox, oy) = (grid.outline().x0(), grid.outline().y0());
+        self.begin(grid.cell_count());
+        let tag = u64::from(self.epoch) << TAG_SHIFT;
+        // The flood's goals are the search's sources: `TARGET` marks
+        // them, `DISCOVERED` every cell the flood has queued.
+        for &s in sources {
+            self.cells[s as usize] = tag | TARGET;
+        }
+        self.stack.clear();
+        for &t in target_comps.iter().flatten() {
+            if enterable(grid, net, soft, t) {
+                self.cells[t as usize] = tag | DISCOVERED;
+                self.stack.push(t);
+            }
+        }
+        let mut pops = 0usize;
+        while let Some(v) = self.stack.pop() {
+            pops += 1;
+            if pops > limit || cancel.charge_expansions(1) {
+                return false;
+            }
+            let (x, rest) = (v % w, v / w);
+            let (y, l) = (rest % rows, rest / rows);
+            let on_line = field.on_line[x as usize];
+            let mut cand = [0u32; 4];
+            let mut nc = 0usize;
+            if !on_line || own_pins.contains(&Point::new(ox + x as Coord, oy + y as Coord)) {
+                if l > 0 {
+                    cand[nc] = v - wh;
+                    nc += 1;
+                }
+                if l + 1 < layers {
+                    cand[nc] = v + wh;
+                    nc += 1;
+                }
+            }
+            if l.is_multiple_of(2) {
+                if x > 0 {
+                    cand[nc] = v - 1;
+                    nc += 1;
+                }
+                if x + 1 < w {
+                    cand[nc] = v + 1;
+                    nc += 1;
+                }
+            } else if !on_line {
+                if y > 0 {
+                    cand[nc] = v - w;
+                    nc += 1;
+                }
+                if y + 1 < rows {
+                    cand[nc] = v + w;
+                    nc += 1;
+                }
+            }
+            for &u in &cand[..nc] {
+                let cu = self.cells[u as usize];
+                if cu & TAG_MASK == tag {
+                    if cu & TARGET != 0 {
+                        return false;
+                    }
+                } else if enterable(grid, net, soft, u) {
+                    self.cells[u as usize] = tag | DISCOVERED;
+                    self.stack.push(u);
+                }
+            }
+        }
+        true
     }
 
     /// Walks inverse arrival moves from `target` back to the source
@@ -636,6 +785,16 @@ mod tests {
         vec![cells.iter().copied().collect()]
     }
 
+    impl Search {
+        /// The path a search found, if it found one.
+        fn path(self) -> Option<Vec<u32>> {
+            match self {
+                Search::Found(path) => Some(path),
+                Search::Unreachable | Search::Dry(_) | Search::Stopped => None,
+            }
+        }
+    }
+
     #[test]
     fn window_clamps_any_box() {
         let win = GridWindow::clamped(10, 8, (-50, -50, 500, 500), 1 << 40);
@@ -666,6 +825,7 @@ mod tests {
                 &CancelToken::default(),
                 None,
             )
+            .path()
             .expect("path");
         assert_eq!(path.first(), Some(&src));
         assert_eq!(path.last(), Some(&dst));
@@ -681,12 +841,14 @@ mod tests {
         let b = grid.node(GridPoint::new(6, 1, Layer::new(0)));
         let first = solver
             .find_path(&grid, &field, 0, &FastSet::default(), &[a], &comps(&[b]), 18, 60_000, &CancelToken::default(), None)
+            .path()
             .expect("first path");
         // Occupy a cell of the first path for a foreign net: the second
         // search (same solver, new epoch) must route around it.
         grid.occupy(first[3], 9);
         let second = solver
             .find_path(&grid, &field, 0, &FastSet::default(), &[a], &comps(&[b]), 18, 60_000, &CancelToken::default(), None)
+            .path()
             .expect("second path");
         assert!(!second.contains(&first[3]), "stale state leaked across epochs");
     }
@@ -710,7 +872,7 @@ mod tests {
             &CancelToken::default(),
             None,
         );
-        assert!(found.is_none());
+        assert!(matches!(found, Search::Stopped));
     }
 
     #[test]
@@ -740,7 +902,83 @@ mod tests {
             &CancelToken::default(),
             None,
         );
-        assert!(narrow.is_none(), "wall spans the entire zero-margin window");
+        assert!(
+            matches!(narrow, Search::Dry(_)),
+            "wall spans the entire zero-margin window"
+        );
+    }
+
+    #[test]
+    fn the_flood_proves_only_what_no_window_reaches() {
+        let (mut grid, plan) = setup();
+        let field = field_for(&grid, &plan);
+        let mut solver = DialSolver::new(field.span);
+        let none = FastSet::default();
+        let src = grid.node(GridPoint::new(4, 2, Layer::new(0)));
+        let dst = grid.node(GridPoint::new(12, 2, Layer::new(0)));
+        let targets = comps(&[dst]);
+        let search = |solver: &mut DialSolver, grid: &DetailedGrid, margin, cancel| {
+            solver.find_path(
+                grid,
+                &field,
+                0,
+                &none,
+                &[src],
+                &targets,
+                margin,
+                usize::MAX,
+                cancel,
+                None,
+            )
+        };
+        let flood = |solver: &mut DialSolver, grid: &DetailedGrid, limit, cancel| {
+            solver.unreachable(
+                grid,
+                &field,
+                0,
+                &none,
+                &[src],
+                &targets,
+                None,
+                limit,
+                cancel,
+            )
+        };
+        let inert = CancelToken::default();
+        // Net 7 walls column 8 on every layer but the top row: the
+        // narrow window runs dry, a wider one finds the detour.
+        let top = grid.height() as Coord - 1;
+        wall(&mut grid, 8, 0..top, 7);
+        assert!(matches!(
+            search(&mut solver, &grid, 2, &inert),
+            Search::Dry(_)
+        ));
+        assert!(!flood(&mut solver, &grid, usize::MAX, &inert));
+        assert!(matches!(
+            search(&mut solver, &grid, 40, &inert),
+            Search::Found(_)
+        ));
+        // Closing the gap leaves no window a path: the flood proves it,
+        // unless it is stopped first, and it charges every pop.
+        wall(&mut grid, 8, [top], 7);
+        assert!(flood(&mut solver, &grid, usize::MAX, &inert));
+        let counter = CancelToken::armed(None, None);
+        assert!(!flood(&mut solver, &grid, 5, &counter));
+        assert_eq!(counter.expansions(), 5);
+        let capped = CancelToken::armed(Some(3), None);
+        assert!(!flood(&mut solver, &grid, usize::MAX, &capped));
+        assert!(capped.is_cancelled());
+        // A target another net owns is never entered: the search ends
+        // before it expands a cell, and the flood, seeded from no cell,
+        // proves it at once.
+        grid.occupy(dst, 7);
+        let counter = CancelToken::armed(None, None);
+        assert!(matches!(
+            search(&mut solver, &grid, 40, &counter),
+            Search::Unreachable
+        ));
+        assert!(flood(&mut solver, &grid, 0, &counter));
+        assert_eq!(counter.expansions(), 0);
     }
 
     /// Occupies column `x` on every layer for the rows in `ys`.
@@ -766,18 +1004,20 @@ mod tests {
         let mut nets = [false; 10];
         nets[7] = true;
         let soft = Rippable { nets: &nets, pins };
-        DialSolver::new(field.span).find_path(
-            grid,
-            field,
-            0,
-            own_pins,
-            &[src],
-            &comps(&[dst]),
-            40,
-            1 << 20,
-            &CancelToken::default(),
-            Some(&soft),
-        )
+        DialSolver::new(field.span)
+            .find_path(
+                grid,
+                field,
+                0,
+                own_pins,
+                &[src],
+                &comps(&[dst]),
+                40,
+                1 << 20,
+                &CancelToken::default(),
+                Some(&soft),
+            )
+            .path()
     }
 
     fn soft_path(
@@ -1052,11 +1292,26 @@ mod tests {
     /// optimum the same way. This is what makes the A* bound safe to
     /// tighten: an inadmissible or inconsistent bound returns a dearer
     /// path.
+    ///
+    /// An unlimited backward flood must prove a case unreachable
+    /// exactly when Dijkstra reaches no target, and a search with a
+    /// margin of 0 to 4 may call its failure final only when Dijkstra
+    /// reaches no target either. One case in three hands
+    /// a source cell, and one in three a target cell, to another net,
+    /// as a pin cell two nets share is: the search still starts on such
+    /// a source, and enters such a target only if a soft licence
+    /// admits it.
     #[test]
     fn searches_return_least_cost_paths() {
         const CASES: usize = 3000;
         let mut rng = SplitMix64::from_seed(0x00d1_a1e5);
+        // A stream of its own keeps the other draws of every case as
+        // they were before the shared cells were added.
+        let mut shared_rng = SplitMix64::from_seed(0x05ba_2ed0);
         let (mut hard_found, mut soft_found) = (0, 0);
+        // Flood proofs, those with a shared source or target, and final
+        // failures of windowed searches.
+        let (mut proofs, mut shared_proofs, mut narrow_proofs) = (0, 0, 0);
         for case in 0..CASES {
             let width = rng.gen_range(4..=28);
             let height = rng.gen_range(2..=10);
@@ -1133,9 +1388,23 @@ mod tests {
                 rng.gen_bool(0.7),
                 rng.gen_bool(0.7),
             ];
-            let pins: FastSet<u32> = (0..cells)
+            let mut pins: FastSet<u32> = (0..cells)
                 .filter(|&c| grid.occupant(c).is_some_and(|o| o != 0) && rng.gen_bool(0.2))
                 .collect();
+            let shared = match shared_rng.gen_index(3) {
+                0 => None,
+                1 => Some(sources[shared_rng.gen_index(sources.len())]),
+                _ => comps[shared_rng.gen_index(comps.len())]
+                    .iter()
+                    .min()
+                    .copied(),
+            };
+            if let Some(cell) = shared {
+                grid.occupy(cell, shared_rng.gen_range(1..=3));
+                if shared_rng.gen_bool(0.5) {
+                    pins.insert(cell);
+                }
+            }
             let licence = Licence {
                 nets: &nets,
                 pins: &pins,
@@ -1146,26 +1415,76 @@ mod tests {
             };
             let what = format!("case {case}: {stitch:?} {weights:?} {outline:?}");
             for (soft, licence) in [(None, None), (Some(&rippable), Some(&licence))] {
-                let path = DialSolver::new(field.span).find_path(
-                    &grid,
-                    &field,
-                    0,
-                    &own_pins,
-                    &sources,
-                    &comps,
-                    Coord::MAX,
-                    usize::MAX,
-                    &CancelToken::default(),
-                    soft,
-                );
+                let mut solver = DialSolver::new(field.span);
+                let path = solver
+                    .find_path(
+                        &grid,
+                        &field,
+                        0,
+                        &own_pins,
+                        &sources,
+                        &comps,
+                        Coord::MAX,
+                        usize::MAX,
+                        &CancelToken::default(),
+                        soft,
+                    )
+                    .path();
                 let best = oracle(
                     &weights, &grid, &plan, 0, &own_pins, &sources, &targets, licence,
                 );
                 assert_eq!(
                     path.is_some(),
                     best.is_some(),
-                    "reachability differs, {what}"
+                    "reachability differs (soft: {}), {what}",
+                    soft.is_some()
                 );
+                // A narrow window may miss a path, but a failure it calls
+                // final must be one.
+                let margin = shared_rng.gen_range(0..=4);
+                match solver.find_path(
+                    &grid,
+                    &field,
+                    0,
+                    &own_pins,
+                    &sources,
+                    &comps,
+                    margin,
+                    usize::MAX,
+                    &CancelToken::default(),
+                    soft,
+                ) {
+                    Search::Found(_) => {
+                        assert!(best.is_some(), "found an unreachable target, {what}")
+                    }
+                    Search::Unreachable => {
+                        assert!(
+                            best.is_none(),
+                            "margin {margin} called a reachable target final, {what}"
+                        );
+                        narrow_proofs += 1;
+                    }
+                    Search::Dry(_) | Search::Stopped => {}
+                }
+                let proof = solver.unreachable(
+                    &grid,
+                    &field,
+                    0,
+                    &own_pins,
+                    &sources,
+                    &comps,
+                    soft,
+                    usize::MAX,
+                    &CancelToken::default(),
+                );
+                assert_eq!(
+                    proof,
+                    best.is_none(),
+                    "the flood disagrees with Dijkstra (soft: {}, shared: {shared:?}), {what}",
+                    soft.is_some()
+                );
+                proofs += usize::from(proof);
+                shared_proofs += usize::from(proof && shared.is_some());
                 if let (Some(path), Some(best)) = (path, best) {
                     let key = path_key(
                         &weights, &grid, &plan, 0, &own_pins, &sources, &targets, licence, &path,
@@ -1184,8 +1503,18 @@ mod tests {
                 }
             }
         }
-        // Enough cases reach a target for the comparison to bite.
+        // Enough cases reach a target, and enough do not, for the
+        // comparisons to bite.
         assert!(hard_found > CASES / 4, "only {hard_found} hard paths");
         assert!(soft_found > hard_found, "only {soft_found} soft paths");
+        assert!(proofs > CASES / 8, "only {proofs} flood proofs");
+        assert!(
+            shared_proofs > CASES / 10,
+            "only {shared_proofs} shared-cell proofs"
+        );
+        assert!(
+            narrow_proofs > CASES / 16,
+            "only {narrow_proofs} final windowed failures"
+        );
     }
 }

@@ -1,6 +1,6 @@
 //! Detailed routing: seeding, ordering, dense-grid search, pruning.
 
-use crate::dense::{CostField, DialSolver, Rippable};
+use crate::dense::{CostField, DialSolver, Rippable, Search};
 use crate::{realize_seeds, DetailedGrid};
 use mebl_assign::TrackResult;
 use mebl_control::{CancelToken, Degradation, DegradationKind, Stage};
@@ -652,13 +652,36 @@ fn connect_components(
                 .margin
                 .checked_shl(attempt as u32)
                 .unwrap_or(Coord::MAX);
-            let path = solver.find_path(
+            match solver.find_path(
                 grid, field, net, own_pins, &src_nodes, components, margin, node_cap,
                 &config.cancel, soft,
-            );
-            if let Some(p) = path {
-                found = Some(p);
-                break;
+            ) {
+                Search::Found(path) => {
+                    found = Some(path);
+                    break;
+                }
+                Search::Unreachable => break,
+                // A dry queue proves only that the window holds no path.
+                // Before a wider rung, flood back from the targets for at
+                // most as many pops: if the flood runs dry too, no window
+                // holds one and the ladder stops.
+                Search::Dry(pops)
+                    if attempt < config.retries
+                        && solver.unreachable(
+                            grid,
+                            field,
+                            net,
+                            own_pins,
+                            &src_nodes,
+                            components,
+                            soft,
+                            pops,
+                            &config.cancel,
+                        ) =>
+                {
+                    break;
+                }
+                Search::Dry(_) | Search::Stopped => {}
             }
         }
         let Some(path) = found else {

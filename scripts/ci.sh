@@ -38,11 +38,19 @@ fi
 echo "=== xtask analyze (static analysis: determinism, layering, taxonomy) ==="
 # Hard gate: any error-severity diagnostic fails the build. The JSON
 # format keeps the gate output machine-readable; the SARIF artifact in
-# results/ feeds code-scanning UIs.
+# results/ feeds code-scanning UIs. The SARIF output is deterministic,
+# so the tracked artifact must equal a fresh run: a rule added without
+# regenerating it fails here instead of dirtying the tree.
 cargo run --release --offline -q -p mebl-xtask -- analyze --format json
-mkdir -p results
-cargo run --release --offline -q -p mebl-xtask -- analyze --format sarif \
-    > results/analyze.sarif
+sarif_tmp=$(mktemp)
+cargo run --release --offline -q -p mebl-xtask -- analyze --format sarif > "$sarif_tmp"
+if ! cmp -s "$sarif_tmp" results/analyze.sarif; then
+    echo "results/analyze.sarif is stale; regenerate it with" >&2
+    echo "  cargo run --release --offline -q -p mebl-xtask -- analyze --format sarif > results/analyze.sarif" >&2
+    rm -f "$sarif_tmp"
+    exit 1
+fi
+rm -f "$sarif_tmp"
 
 echo "=== audit smoke (independent solution verifier) ==="
 for seed in 1 2 3; do

@@ -24,10 +24,11 @@
 //! edits).
 
 use mebl_audit::audit_outcome;
+use mebl_control::DegradationKind;
 use mebl_delta::{apply_edits, route_delta, CircuitEdit};
 use mebl_geom::{Layer, Point, Rect};
 use mebl_netlist::{BenchmarkSpec, Circuit, CircuitIssue, GenerateConfig, Pin};
-use mebl_route::{Router, RouterConfig, RoutingOutcome};
+use mebl_route::{Router, RouterConfig, RoutingOutcome, RunBudget};
 use mebl_stitch::StitchPlan;
 use mebl_testkit::{Rng, SplitMix64};
 use std::collections::BTreeSet;
@@ -282,4 +283,69 @@ fn remove_net_shrinks_circuit_and_stays_clean() {
     assert_eq!(delta.circuit.net_count(), circuit.net_count() - 1);
     assert!(delta.circuit.nets().iter().all(|n| n.name() != victim));
     assert_strict_clean(&delta.circuit, &config, &delta.outcome, "remove-net");
+}
+
+/// A move that lands a pin on another net's pin cell (same x, y and
+/// layer) leaves a net unrouted: the cell belongs to one of the two
+/// nets, and no window lets the other enter it. The router must see
+/// that at once instead of widening its window over the whole grid, so
+/// the delta fits an expansion cap far below what that widening costs
+/// (about 174k expansions), and the capped outcome equals the uncapped
+/// one.
+#[test]
+fn shared_pin_move_fits_a_small_expansion_cap() {
+    const CAP: u64 = 20_000;
+    let config = RouterConfig::stitch_aware();
+    let spec = BenchmarkSpec::by_name("S5378").expect("known benchmark");
+    let base = spec.generate(&GenerateConfig {
+        seed: 3,
+        net_scale: 240.0 / spec.nets as f64,
+        ..GenerateConfig::default()
+    });
+    let prior = Router::new(config.clone()).route(&base);
+    let edits = vec![CircuitEdit::MoveNet {
+        name: "s5378_46".to_string(),
+        dx: 1,
+        dy: 0,
+    }];
+    let moved = apply_edits(&base, &edits).expect("valid move").circuit;
+    let pin_cells = |name: &str| -> BTreeSet<(i32, i32, u8)> {
+        let net = moved.nets().iter().find(|n| n.name() == name).expect("net");
+        net.pins()
+            .iter()
+            .map(|p| (p.position.x, p.position.y, p.layer.index()))
+            .collect()
+    };
+    assert!(
+        !pin_cells("s5378_46").is_disjoint(&pin_cells("s5378_104")),
+        "the move must land a pin on another net's pin cell"
+    );
+
+    let uncapped = route_delta(&base, &prior, &edits, &config).expect("validated move");
+    assert!(
+        uncapped.outcome.detailed.routed.contains(&false),
+        "the shared pin cell must leave a net unrouted"
+    );
+    let capped_config = config
+        .clone()
+        .with_budget(RunBudget::with_max_expansions(CAP));
+    let capped = route_delta(&base, &prior, &edits, &capped_config).expect("validated move");
+    assert!(
+        capped
+            .outcome
+            .degradations
+            .iter()
+            .all(|d| d.kind != DegradationKind::BudgetExhausted),
+        "{CAP} expansions ran out: {:?}",
+        capped.outcome.degradations
+    );
+    assert_eq!(
+        capped.outcome.detailed.routed,
+        uncapped.outcome.detailed.routed
+    );
+    assert_eq!(
+        capped.outcome.detailed.geometry,
+        uncapped.outcome.detailed.geometry
+    );
+    assert_eq!(capped.outcome.degradations, uncapped.outcome.degradations);
 }

@@ -199,18 +199,18 @@ fn suite_routes_are_pinned() {
 const SUITE_STAGE_EXPANSIONS: [(&str, u64, u64, u64, u64); 14] = [
     ("Struct", 59, 10990, 59, 6645),
     ("Primary1", 51, 11740, 52, 8646),
-    ("Primary2", 41, 8446, 41, 5488),
-    ("S5378", 34, 8063, 34, 30233),
+    ("Primary2", 41, 8428, 41, 5488),
+    ("S5378", 34, 8063, 34, 7879),
     ("S9234", 40, 9604, 40, 8028),
-    ("S13207", 46, 10360, 46, 10642),
-    ("S15850", 36, 8215, 36, 6515),
+    ("S13207", 46, 10360, 46, 10639),
+    ("S15850", 36, 8209, 36, 6509),
     ("S38417", 46, 12654, 46, 8750),
     ("S38584", 30, 6388, 30, 4927),
-    ("DMA", 94, 60998, 95, 54160),
-    ("DSP1", 88, 35008, 88, 24583),
+    ("DMA", 94, 60962, 95, 54154),
+    ("DSP1", 88, 34999, 88, 24574),
     ("DSP2", 66, 28432, 64, 12642),
-    ("RISC1", 73, 174023, 73, 22616),
-    ("RISC2", 58, 26045, 59, 13096),
+    ("RISC1", 73, 73751, 73, 22598),
+    ("RISC2", 58, 26036, 59, 13096),
 ];
 
 /// `(global, detailed)` search expansions of one route of `circuit` under
